@@ -21,6 +21,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "lockfree/annotate.hpp"
 #include "runtime/object_stats.hpp"
 #include "support/check.hpp"
 
@@ -29,6 +30,21 @@ namespace lfrt::lockfree {
 /// Simpson's four-slot algorithm: asynchronous, wait-free on both
 /// sides, never tears, reader always sees the latest completed write or
 /// a newer one.
+///
+/// The algorithm rests on a store→load handshake on each side.  The
+/// reader announces its pair (`reading_` store) and only then picks the
+/// slot (`last_slot_` load); the writer publishes its pair (`last_pair_`
+/// store) and on its next write reads the announcement (`reading_`
+/// load) to steer clear of the reader's pair.  Acquire/release lets each
+/// side's load pass its own earlier store (a store buffer does exactly
+/// that on x86), after which the writer can overwrite the very slot the
+/// reader is copying — a torn read — or the reader can pick a slot
+/// older than one it has already seen.  Those four operations are
+/// therefore seq_cst, the only ordering that forbids store→load
+/// reordering; the rest stay acquire/release.  The slot copies go
+/// through the relaxed value-slot helpers (lockfree/annotate.hpp), as in
+/// the NBW buffer and the MS queue, so a copy that overlaps a write is a
+/// torn value a test can see rather than undefined behaviour.
 template <typename T>
 class FourSlot {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -44,21 +60,21 @@ class FourSlot {
   void write(const T& value) {
     // Write into the pair the reader is NOT using, alternating slots
     // within the pair so a concurrent read of the other slot is safe.
-    const int pair = 1 - reading_.load(std::memory_order_acquire);
+    const int pair = 1 - reading_.load(std::memory_order_seq_cst);
     const int slot = 1 - last_slot_[pair].load(std::memory_order_relaxed);
-    data_[pair][slot] = value;
+    detail::store_value_slot(data_[pair][slot], value);
     last_slot_[pair].store(slot, std::memory_order_release);
-    last_pair_.store(pair, std::memory_order_release);
+    last_pair_.store(pair, std::memory_order_seq_cst);
     stats_.record_op();
   }
 
   /// Wait-free read (single reader).
   T read() const {
     const int pair = last_pair_.load(std::memory_order_acquire);
-    reading_.store(pair, std::memory_order_release);
-    const int slot = last_slot_[pair].load(std::memory_order_acquire);
+    reading_.store(pair, std::memory_order_seq_cst);
+    const int slot = last_slot_[pair].load(std::memory_order_seq_cst);
     stats_.record_op();
-    return data_[pair][slot];
+    return detail::load_value_slot(const_cast<T&>(data_[pair][slot]));
   }
 
   /// Retries stay zero by construction — the wait-free contrast point.

@@ -66,6 +66,27 @@ struct Simulator::Impl {
   SimConfig cfg;
   std::unordered_map<TaskId, std::vector<Time>> arrival_traces;
 
+  // One arrival stream per traced task, indexed by TaskId: the task's
+  // times, the cursor to its next unqueued arrival, and the block of
+  // seqs reserved for its arrivals.  Only each stream's next arrival
+  // sits in the queue.  The blocks follow arrival_traces' iteration
+  // order, so arrival k of a stream carries seq_base + k — the seq it
+  // would have had with the whole tape queued up front — and ties
+  // among equal-time arrivals break the same way.
+  struct ArrivalStream {
+    const std::vector<Time>* times = nullptr;
+    std::size_t next = 0;
+    std::int64_t seq_base = 0;
+  };
+  std::vector<ArrivalStream> streams_;
+
+  // Per task, indexed by TaskId: suffix sums of pending_cost over the
+  // task's accesses (flat) or spans (nested) — entry k is the estimated
+  // cost of items k.. and the last entry is 0.  Object specs and the
+  // cost model are fixed for a run, so remaining_estimate reads one
+  // entry instead of summing the tail at every reschedule.
+  std::vector<std::vector<Time>> pending_suffix_;
+
   // ---- runtime state ----
   Time now = 0;
   // Dense job slab: JobId IS the index.  Ids are handed out sequentially
@@ -284,6 +305,21 @@ struct Simulator::Impl {
                                      std::move(writer_of));
       }
     }
+    pending_suffix_.resize(static_cast<std::size_t>(max_task + 1));
+    for (const auto& t : tasks.tasks) {
+      // Span accesses are critical sections — write-shaped for the cost
+      // model (no snapshot scan term).
+      const std::size_t n = t.nested() ? t.spans.size() : t.accesses.size();
+      auto& suffix = pending_suffix_[static_cast<std::size_t>(t.id)];
+      suffix.assign(n + 1, 0);
+      for (std::size_t k = n; k-- > 0;) {
+        suffix[k] = suffix[k + 1] +
+                    (t.nested() ? pending_cost(t.spans[k].object,
+                                               /*write=*/true)
+                                : pending_cost(t.accesses[k].object,
+                                               t.accesses[k].write));
+      }
+    }
     sched_ws = scheduler->make_workspace();
     report.contention = runtime::ContentionMatrix(
         tasks.object_count, static_cast<std::int32_t>(max_task + 1));
@@ -455,27 +491,22 @@ struct Simulator::Impl {
   /// universe this is the paper's u_i + m_i * t_acc).
   Time remaining_estimate(const Job& j) const {
     const auto& p = params_of(j);
+    const auto& suffix = pending_suffix_[static_cast<std::size_t>(j.task)];
     // The scheduler is shown the task's *estimate*; a job whose actual
     // demand overruns it simply looks (optimistically) nearly done.
     Time rem = std::max<Time>(1, p.exec_time - j.compute_done);
     if (p.nested()) {
-      // Span accesses are critical sections — write-shaped for the cost
-      // model (no snapshot scan term).
-      for (std::size_t s = j.next_span; s < p.spans.size(); ++s)
-        rem += pending_cost(p.spans[s].object, /*write=*/true);
+      rem += suffix[j.next_span];
       if (j.in_access) rem += attempt_len(j) - j.access_progress;
       return rem;
     }
-    // next_access still indexes the in-flight access, so the sum
-    // covers it in full (at its live attempt length); subtracting the
-    // progress leaves its remainder.
-    for (std::size_t a = j.next_access; a < p.accesses.size(); ++a) {
-      if (j.in_access && a == j.next_access)
-        rem += attempt_len(j);
-      else
-        rem += pending_cost(p.accesses[a].object, p.accesses[a].write);
-    }
-    if (j.in_access) rem -= j.access_progress;
+    const std::size_t a = j.next_access;
+    rem += suffix[a];
+    // next_access still indexes the in-flight access: count it at its
+    // live attempt length instead of its pending estimate, less the
+    // progress already made.
+    if (j.in_access)
+      rem += attempt_len(j) - (suffix[a] - suffix[a + 1]) - j.access_progress;
     return rem;
   }
 
@@ -1053,6 +1084,16 @@ struct Simulator::Impl {
     }
   }
 
+  /// Queue the next arrival of `task`'s stream, if any remain.
+  void push_next_arrival(TaskId task) {
+    ArrivalStream& st = streams_[static_cast<std::size_t>(task)];
+    if (st.next == st.times->size()) return;
+    q.push(Event{(*st.times)[st.next], 2,
+                 st.seq_base + static_cast<std::int64_t>(st.next),
+                 EvKind::kArrival, kNoJob, task, 0, MsKind::kCompletion});
+    ++st.next;
+  }
+
   SimReport run() {
     LFRT_CHECK_MSG(!ran, "Simulator::run is single-shot");
     ran = true;
@@ -1062,12 +1103,14 @@ struct Simulator::Impl {
     for (const auto& [task_id, times] : arrival_traces) {
       LFRT_CHECK_MSG(uam_conforms_max(tasks.by_id(task_id).arrival, times),
                      "arrival trace violates the task's UAM contract");
+      const auto slot = static_cast<std::size_t>(task_id);
+      if (slot >= streams_.size()) streams_.resize(slot + 1);
+      streams_[slot] = {&times, 0, next_seq};
+      next_seq += static_cast<std::int64_t>(times.size());
       total_arrivals += times.size();
-      for (Time t : times)
-        q.push(Event{t, 2, next_seq++, EvKind::kArrival, kNoJob, task_id,
-                     0, MsKind::kCompletion});
+      push_next_arrival(task_id);
     }
-    // Every job the run can create corresponds to one queued arrival, so
+    // Every job the run can create corresponds to one traced arrival, so
     // this reservation makes the slab reallocation-free for the whole
     // run (and the parallel index vectors with it).
     jobs.reserve(total_arrivals);
@@ -1089,6 +1132,7 @@ struct Simulator::Impl {
       now = e.t;
       switch (e.kind) {
         case EvKind::kArrival:
+          push_next_arrival(e.task);
           handle_arrival(e.task);
           break;
         case EvKind::kExpiry:

@@ -55,7 +55,7 @@ void TaskParams::validate() const {
   }
 }
 
-const TaskParams& TaskSet::by_id(TaskId id) const {
+const TaskParams& TaskSet::find_by_id(TaskId id) const {
   auto it = std::find_if(tasks.begin(), tasks.end(),
                          [&](const TaskParams& t) { return t.id == id; });
   LFRT_CHECK_MSG(it != tasks.end(), "unknown task id");

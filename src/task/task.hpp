@@ -109,13 +109,24 @@ struct TaskSet {
                : object_units[static_cast<std::size_t>(obj)];
   }
 
-  const TaskParams& by_id(TaskId id) const;
+  /// The task with id `id`.  Ids are usually the tasks' positions, so
+  /// that case is one indexed compare; other layouts (sparse or
+  /// reordered ids) fall back to a scan.  Throws InvariantViolation on
+  /// an unknown id.
+  const TaskParams& by_id(TaskId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    if (i < tasks.size() && tasks[i].id == id) return tasks[i];
+    return find_by_id(id);
+  }
   void validate() const;
 
   /// Approximate load AL = sum_i u_i / C_i (paper, Section 6.1).  Note
   /// AL deliberately excludes object-access time, so that the ideal-
   /// object implementation has CML 1.0 at AL 1.0 absent overheads.
   double approximate_load() const;
+
+ private:
+  const TaskParams& find_by_id(TaskId id) const;
 };
 
 /// Job lifecycle states.

@@ -38,7 +38,10 @@ TEST(FourSlot, NoTearingUnderConcurrency) {
     const Pair p = reg.read();
     ASSERT_EQ(p.a, -p.b) << "torn read";
     // Freshness/monotonicity: values never run backwards for this
-    // reader (the four-slot register is a regular register).
+    // reader.  That needs an *atomic* register, which the four-slot
+    // construction is once its handshake is sequentially consistent; a
+    // merely regular register would allow a later read to return an
+    // older value (new-old inversion).
     ASSERT_GE(p.a, last);
     last = p.a;
   }

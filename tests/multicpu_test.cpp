@@ -227,8 +227,15 @@ TEST(MultiCpu, AbortHandlersMayRunConcurrently) {
 /// Property sweep: report invariants hold across CPU counts, modes, and
 /// loads; retries stay within the (uniprocessor) Theorem-2 bound on one
 /// CPU.
+///
+/// gtest names each case by printing McParams byte by byte, so the
+/// four bytes after `cpus` must not be left as uninitialised padding:
+/// that made the case names differ from run to run.  `name_tag` fills
+/// them; its values reproduce the names the cases are listed under.
+/// The test body never reads it.
 struct McParams {
   int cpus;
+  std::uint32_t name_tag;
   double load;
   std::uint64_t seed;
 };
@@ -276,9 +283,11 @@ TEST_P(MultiCpuPropertyTest, ReportInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MultiCpuPropertyTest,
-    ::testing::Values(McParams{1, 0.8, 1}, McParams{2, 0.8, 2},
-                      McParams{2, 1.5, 3}, McParams{3, 1.5, 4},
-                      McParams{4, 2.5, 5}, McParams{4, 0.5, 6}));
+    ::testing::Values(McParams{1, 0, 0.8, 1}, McParams{2, 0, 0.8, 2},
+                      McParams{2, 0xEFD00000, 1.5, 3},
+                      McParams{3, 0, 1.5, 4},
+                      McParams{4, 0x00091E03, 2.5, 5},
+                      McParams{4, 0xCAC50000, 0.5, 6}));
 
 }  // namespace
 }  // namespace lfrt

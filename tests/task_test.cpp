@@ -88,6 +88,37 @@ TEST(TaskSet, ByIdFindsAndThrows) {
   EXPECT_THROW(ts.by_id(42), InvariantViolation);
 }
 
+TaskSet with_ids(std::initializer_list<TaskId> ids) {
+  TaskSet ts;
+  ts.object_count = 2;
+  for (TaskId id : ids) {
+    auto p = valid_task();
+    p.id = id;
+    p.exec_time = usec(10 + id);  // tells the tasks apart
+    ts.tasks.push_back(std::move(p));
+  }
+  return ts;
+}
+
+// Ids that are not the tasks' positions (reordered or sparse) still
+// resolve, through the scan.
+TEST(TaskSet, ByIdResolvesReorderedAndSparseIds) {
+  for (const TaskSet& ts : {with_ids({2, 0, 1}), with_ids({0, 5, 9, 3})}) {
+    for (const TaskParams& t : ts.tasks) {
+      EXPECT_EQ(ts.by_id(t.id).id, t.id);
+      EXPECT_EQ(ts.by_id(t.id).exec_time, usec(10 + t.id));
+    }
+  }
+}
+
+// An unknown id fails the check whether or not it indexes a task.
+TEST(TaskSet, ByIdRejectsUnknownIds) {
+  const TaskSet ts = with_ids({0, 5, 9, 3});
+  for (TaskId id : {1, 2, 4, 10, -1}) {
+    EXPECT_THROW(ts.by_id(id), InvariantViolation) << "id " << id;
+  }
+}
+
 TEST(TaskSet, ApproximateLoadSums) {
   TaskSet ts;
   ts.object_count = 2;
