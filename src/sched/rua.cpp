@@ -1,9 +1,17 @@
 // Allocation-free RUA hot path.  Semantics and modelled `ops` are
 // bit-for-bit identical to the naive reference (rua_reference.cpp);
 // tests/rua_equivalence_test.cpp holds the two implementations equal on
-// randomized workloads.  The differences are purely mechanical:
+// randomized workloads.
 //
-//   * all scratch lives in a RuaWorkspace and retains capacity,
+// A view with no blocked job has no dependency chains to build, so run
+// takes the paper's lock-free steps directly: PUD sort keys, one sort,
+// and per job an ECF insertion plus a feasibility pass that resumes
+// from a prefix-sum watermark, with an erase on infeasibility.  It
+// charges the chain steps' modelled cost without performing them.
+//
+// Only a lock-based view with a blocked job reaches run_chains, which
+// differs from the reference purely mechanically:
+//
 //   * the JobId -> index map is open-addressed instead of node-based,
 //   * dependency chains are stored in one flat CSR buffer,
 //   * the tentative schedule is the committed schedule edited in place,
@@ -11,9 +19,11 @@
 //     the full per-aggregate copy),
 //   * entry lookups read a maintained position index (replacing the
 //     linear find_entry scan), and
-//   * the feasibility pass resumes from a prefix-sum watermark at the
-//     first position the aggregate touched (entries before it belong to
-//     a previously committed — hence feasible — prefix).
+//   * the feasibility pass resumes from the same watermark at the first
+//     position the aggregate touched (entries before it belong to a
+//     previously committed — hence feasible — prefix).
+//
+// All scratch lives in a RuaWorkspace and retains capacity.
 #include "sched/rua.hpp"
 
 #include <algorithm>
@@ -60,6 +70,57 @@ std::uint64_t hash_id(JobId id) {
   return z ^ (z >> 31);
 }
 
+/// Step 4: sort by non-increasing PUD, ties by earlier critical time,
+/// then lower id.
+void sort_by_pud(std::vector<RuaSortKey>& keys, ScheduleResult& out) {
+  std::sort(keys.begin(), keys.end(),
+            [](const RuaSortKey& a, const RuaSortKey& b) {
+              if (a.pud != b.pud) return a.pud > b.pud;
+              if (a.critical != b.critical) return a.critical < b.critical;
+              return a.id < b.id;
+            });
+  out.ops += static_cast<std::int64_t>(keys.size()) *
+             ordered_op_cost(keys.size());
+}
+
+/// Feasibility: every entry must finish by its effective critical time
+/// when the schedule runs in order from `now`.  Positions below `start`
+/// belong to a previously committed prefix — unchanged, feasible, and
+/// with valid prefix sums — so the scan resumes there, refreshing
+/// prefix[p] as it goes.  Returns the first violating position, or
+/// kNpos.
+std::size_t first_violation(const std::vector<SchedJob>& jobs,
+                            const std::vector<RuaEntry>& schedule,
+                            std::size_t start, Time now,
+                            std::vector<Time>& prefix) {
+  Time finish = start > 0 ? prefix[start - 1] : now;
+  for (std::size_t p = start; p < schedule.size(); ++p) {
+    finish += jobs[schedule[p].job].remaining;
+    prefix[p] = finish;
+    if (finish > schedule[p].eff_critical) return p;
+  }
+  return kNpos;
+}
+
+/// Modelled cost of the reference's feasibility walk: head to the
+/// violation inclusive, or the whole schedule.
+std::int64_t feasibility_ops(std::size_t violation, std::size_t len) {
+  return static_cast<std::int64_t>(violation == kNpos ? len : violation + 1);
+}
+
+void emit(const std::vector<SchedJob>& jobs,
+          const std::vector<RuaEntry>& schedule, ScheduleResult& out) {
+  out.schedule.reserve(schedule.size());
+  for (const RuaEntry& e : schedule) out.schedule.push_back(jobs[e.job].id);
+
+  for (const RuaEntry& e : schedule) {
+    if (jobs[e.job].runnable()) {
+      out.dispatch = jobs[e.job].id;
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 RuaScheduler::RuaScheduler(Sharing sharing, bool detect_deadlocks)
@@ -91,6 +152,78 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
   out.clear();
   const std::size_t n = jobs.size();
   if (n == 0) return;
+
+  const bool any_blocked =
+      std::any_of(jobs.begin(), jobs.end(),
+                  [](const SchedJob& j) { return !j.runnable(); });
+  if (any_blocked) {
+    LFRT_CHECK_MSG(sharing_ == Sharing::kLockBased,
+                   "lock-free RUA saw a blocked job");
+    run_chains(jobs, now, ws, out);
+    return;
+  }
+
+  // Every chain is the job itself and nothing can deadlock.  The
+  // modelled cost still charges what the chain path spends finding
+  // that out: the id map (n), and under lock-based sharing one terminal
+  // follow per job (n) plus the detector's one-step walk per job (n).
+  std::int64_t chain_ops_per_job = 1;
+  if (sharing_ == Sharing::kLockBased)
+    chain_ops_per_job += detect_deadlocks_ ? 2 : 1;
+  out.ops += chain_ops_per_job * static_cast<std::int64_t>(n);
+
+  // ---- Step 2: each job's PUD alone ----------------------------------
+  ws.keys.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const SchedJob& j = jobs[i];
+    const double pud =
+        j.remaining > 0
+            ? j.tuf->utility(now + j.remaining - j.arrival) /
+                  static_cast<double>(j.remaining)
+            : std::numeric_limits<double>::infinity();
+    ws.keys.push_back({pud, j.critical, j.id, i});
+  }
+  out.ops += static_cast<std::int64_t>(n);
+
+  sort_by_pud(ws.keys, out);
+
+  // ---- Step 5: ECF insertion with feasibility tests ------------------
+  //
+  // With no dependent to precede, a job's effective critical time is
+  // its own and it goes straight to its ECF index; an infeasible
+  // schedule just erases it again.
+  auto& schedule = ws.schedule;
+  schedule.clear();
+  ws.prefix.resize(n);
+  std::size_t watermark = 0;  // prefix[p] valid for p < watermark
+  for (const RuaSortKey& key : ws.keys) {
+    const std::size_t len = schedule.size();
+    // The reference's schedule copy, its lookup, and the insertion.
+    out.ops += static_cast<std::int64_t>(len) + ordered_op_cost(len) +
+               ordered_op_cost(len + 1);
+    const std::size_t idx = ecf_index(schedule, key.critical);
+    schedule.insert(schedule.begin() + static_cast<std::ptrdiff_t>(idx),
+                    RuaEntry{key.job, key.critical});
+
+    const std::size_t start = std::min(idx, watermark);
+    const std::size_t violation =
+        first_violation(jobs, schedule, start, now, ws.prefix);
+    out.ops += feasibility_ops(violation, len + 1);
+    if (violation == kNpos) {
+      watermark = len + 1;
+    } else {
+      schedule.erase(schedule.begin() + static_cast<std::ptrdiff_t>(idx));
+      watermark = start;  // prefix beyond: stale
+      out.rejected.push_back(key.id);
+    }
+  }
+
+  emit(jobs, schedule, out);
+}
+
+void RuaScheduler::run_chains(const std::vector<SchedJob>& jobs, Time now,
+                              RuaWorkspace& ws, ScheduleResult& out) const {
+  const std::size_t n = jobs.size();
 
   // ---- id -> index map (open-addressed; first insertion wins, like
   // unordered_map::emplace) ---------------------------------------------
@@ -127,108 +260,95 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
     return lookup(w);
   };
 
-  // ---- Step 1: dependency chains (lock-based only) -------------------
+  // ---- Step 1: dependency chains --------------------------------------
   //
   // Chain i runs from the job itself (tail) toward the deepest
   // dependency (head); under the single-unit resource model each job
   // waits on at most one holder, so the chain is a simple path unless a
-  // cycle (deadlock) exists.  Lock-free chains are the singleton {i}
-  // and are not materialized.
+  // cycle (deadlock) exists.
   ws.dead.assign(n, 0);
 
-  if (sharing_ == Sharing::kLockFree) {
-    for (std::size_t i = 0; i < n; ++i)
-      LFRT_CHECK_MSG(jobs[i].waits_on == kNoJob,
-                     "lock-free RUA saw a blocked job");
-  } else {
-    // ---- Step 3 pre-pass: cycle detection & resolution ---------------
-    if (detect_deadlocks_) {
-      ws.visited.assign(n, 0);
-      ws.on_path.assign(n, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (ws.visited[i]) continue;
-        ws.path.clear();
-        std::size_t cur = i;
-        while (cur != kNpos && !ws.visited[cur] && !ws.on_path[cur]) {
-          ws.on_path[cur] = 1;
-          ws.path.push_back(cur);
-          cur = follow(cur);
+  // ---- Step 3 pre-pass: cycle detection & resolution -----------------
+  if (detect_deadlocks_) {
+    ws.visited.assign(n, 0);
+    ws.on_path.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ws.visited[i]) continue;
+      ws.path.clear();
+      std::size_t cur = i;
+      while (cur != kNpos && !ws.visited[cur] && !ws.on_path[cur]) {
+        ws.on_path[cur] = 1;
+        ws.path.push_back(cur);
+        cur = follow(cur);
+        out.ops += 1;
+      }
+      if (cur != kNpos && ws.on_path[cur]) {
+        // Found a cycle starting at `cur`: abort the member that
+        // would contribute the least utility per remaining time.
+        std::size_t victim = kNpos;
+        double worst = std::numeric_limits<double>::infinity();
+        for (auto it = std::find(ws.path.begin(), ws.path.end(), cur);
+             it != ws.path.end(); ++it) {
+          const auto& j = jobs[*it];
+          const double density =
+              j.remaining > 0
+                  ? j.tuf->utility(now + j.remaining - j.arrival) /
+                        static_cast<double>(j.remaining)
+                  : std::numeric_limits<double>::infinity();
+          if (density < worst) {
+            worst = density;
+            victim = *it;
+          }
           out.ops += 1;
         }
-        if (cur != kNpos && ws.on_path[cur]) {
-          // Found a cycle starting at `cur`: abort the member that
-          // would contribute the least utility per remaining time.
-          std::size_t victim = kNpos;
-          double worst = std::numeric_limits<double>::infinity();
-          for (auto it = std::find(ws.path.begin(), ws.path.end(), cur);
-               it != ws.path.end(); ++it) {
-            const auto& j = jobs[*it];
-            const double density =
-                j.remaining > 0
-                    ? j.tuf->utility(now + j.remaining - j.arrival) /
-                          static_cast<double>(j.remaining)
-                    : std::numeric_limits<double>::infinity();
-            if (density < worst) {
-              worst = density;
-              victim = *it;
-            }
-            out.ops += 1;
-          }
-          ws.dead[victim] = 1;
-          out.deadlock_victims.push_back(jobs[victim].id);
-        }
-        for (std::size_t p : ws.path) {
-          ws.visited[p] = 1;
-          ws.on_path[p] = 0;  // the reference's fresh per-walk vector
-        }
+        ws.dead[victim] = 1;
+        out.deadlock_victims.push_back(jobs[victim].id);
       }
-    }
-
-    ws.chain_off.assign(n, 0);
-    ws.chain_len.assign(n, 0);
-    ws.chain_data.clear();
-    // Stamp array replacing the reference's std::find over the growing
-    // chain (O(len) per follow step): chain_mark[k] == i + 1 iff k is
-    // already a member of chain i.  No modelled ops are charged for the
-    // membership check, so the counts stay identical.
-    ws.chain_mark.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ws.dead[i]) continue;
-      const std::size_t off = ws.chain_data.size();
-      ws.chain_off[i] = off;
-      ws.chain_data.push_back(i);
-      ws.chain_mark[i] = i + 1;
-      std::size_t cur = i;
-      for (;;) {
-        const std::size_t next = follow(cur);
-        out.ops += 1;
-        if (next == kNpos) break;
-        // A victim releases its objects on abort: sever the chain there.
-        if (ws.dead[next]) break;
-        if (ws.chain_mark[next] == i + 1) {
-          LFRT_CHECK_MSG(detect_deadlocks_,
-                         "dependency cycle with deadlock detection off — "
-                         "nested critical sections are excluded from this "
-                         "configuration");
-          break;  // unreachable: victims sever every cycle
-        }
-        ws.chain_data.push_back(next);
-        ws.chain_mark[next] = i + 1;
-        cur = next;
+      for (std::size_t p : ws.path) {
+        ws.visited[p] = 1;
+        ws.on_path[p] = 0;  // the reference's fresh per-walk vector
       }
-      ws.chain_len[i] = ws.chain_data.size() - off;
     }
   }
 
-  /// Chain of job i as a [first, last) range (singleton {i} lock-free).
-  const bool lock_free = sharing_ == Sharing::kLockFree;
-  std::size_t self_holder = 0;  // backing store for lock-free singletons
+  ws.chain_off.assign(n, 0);
+  ws.chain_len.assign(n, 0);
+  ws.chain_data.clear();
+  // Stamp array replacing the reference's std::find over the growing
+  // chain (O(len) per follow step): chain_mark[k] == i + 1 iff k is
+  // already a member of chain i.  No modelled ops are charged for the
+  // membership check, so the counts stay identical.
+  ws.chain_mark.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ws.dead[i]) continue;
+    const std::size_t off = ws.chain_data.size();
+    ws.chain_off[i] = off;
+    ws.chain_data.push_back(i);
+    ws.chain_mark[i] = i + 1;
+    std::size_t cur = i;
+    for (;;) {
+      const std::size_t next = follow(cur);
+      out.ops += 1;
+      if (next == kNpos) break;
+      // A victim releases its objects on abort: sever the chain there.
+      if (ws.dead[next]) break;
+      if (ws.chain_mark[next] == i + 1) {
+        LFRT_CHECK_MSG(detect_deadlocks_,
+                       "dependency cycle with deadlock detection off — "
+                       "nested critical sections are excluded from this "
+                       "configuration");
+        break;  // unreachable: victims sever every cycle
+      }
+      ws.chain_data.push_back(next);
+      ws.chain_mark[next] = i + 1;
+      cur = next;
+    }
+    ws.chain_len[i] = ws.chain_data.size() - off;
+  }
+
+  /// Chain of job i as a [first, last) range.
   auto chain_of = [&](std::size_t i)
       -> std::pair<const std::size_t*, const std::size_t*> {
-    if (lock_free) {
-      self_holder = i;
-      return {&self_holder, &self_holder + 1};
-    }
     const std::size_t* first = ws.chain_data.data() + ws.chain_off[i];
     return {first, first + ws.chain_len[i]};
   };
@@ -238,7 +358,7 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
   // PUD_i = (U_i(t_f) + sum_dep U_j(t_j)) / (t_f - now): the aggregate's
   // "return on investment", with completion estimates accumulated
   // deepest-dependency-first.
-  ws.pud.assign(n, 0.0);
+  ws.keys.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (ws.dead[i]) continue;
     Time cum = 0;
@@ -250,23 +370,12 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
       util += j.tuf->utility(now + cum - j.arrival);
       out.ops += 1;
     }
-    ws.pud[i] = cum > 0 ? util / static_cast<double>(cum)
-                        : std::numeric_limits<double>::infinity();
+    const double pud = cum > 0 ? util / static_cast<double>(cum)
+                               : std::numeric_limits<double>::infinity();
+    ws.keys.push_back({pud, jobs[i].critical, jobs[i].id, i});
   }
 
-  // ---- Step 4: sort by non-increasing PUD ----------------------------
-  ws.order.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    if (!ws.dead[i]) ws.order.push_back(i);
-  std::sort(ws.order.begin(), ws.order.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (ws.pud[a] != ws.pud[b]) return ws.pud[a] > ws.pud[b];
-              if (jobs[a].critical != jobs[b].critical)
-                return jobs[a].critical < jobs[b].critical;
-              return jobs[a].id < jobs[b].id;
-            });
-  out.ops += static_cast<std::int64_t>(ws.order.size()) *
-             ordered_op_cost(ws.order.size());
+  sort_by_pud(ws.keys, out);
 
   // ---- Step 5: greedy aggregate insertion with feasibility tests -----
   //
@@ -331,7 +440,8 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
     return lo;
   };
 
-  for (std::size_t i : ws.order) {
+  for (const RuaSortKey& key : ws.keys) {
+    const std::size_t i = key.job;
     if (ws.pos_of[i] != kNpos) continue;  // inserted as a dependent
 
     // The reference copies the whole tentative schedule here; the copy
@@ -389,30 +499,16 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
       }
     }
 
-    // Feasibility: every entry must finish by its effective critical
-    // time when the tentative schedule is executed in order from `now`.
-    // Positions below min(first_changed, watermark) belong to a
-    // previously committed prefix: unchanged, already feasible, and
-    // with valid prefix sums — so the scan resumes there.  The modelled
-    // cost still charges the reference's full head-to-violation walk.
-    const std::size_t len = schedule.size();
+    // Positions below min(first_changed, watermark) are an unchanged
+    // committed prefix.
     const std::size_t start = std::min(first_changed, watermark);
-    Time finish = start > 0 ? ws.prefix[start - 1] : now;
-    std::size_t violation = kNpos;
-    for (std::size_t p = start; p < len; ++p) {
-      finish += jobs[schedule[p].job].remaining;
-      ws.prefix[p] = finish;
-      if (finish > schedule[p].eff_critical) {
-        violation = p;
-        break;
-      }
-    }
+    const std::size_t violation =
+        first_violation(jobs, schedule, start, now, ws.prefix);
+    out.ops += feasibility_ops(violation, schedule.size());
 
     if (violation == kNpos) {
-      out.ops += static_cast<std::int64_t>(len);
-      watermark = len;  // commit: prefix now valid end-to-end
+      watermark = schedule.size();  // commit: prefix now valid end-to-end
     } else {
-      out.ops += static_cast<std::int64_t>(violation) + 1;
       // Roll the aggregate's edits back in LIFO order; each undo step
       // sees the schedule exactly as it was right after its edit.
       for (auto u = ws.undo.rbegin(); u != ws.undo.rend(); ++u) {
@@ -431,19 +527,11 @@ void RuaScheduler::run(const std::vector<SchedJob>& jobs, Time now,
         }
       }
       watermark = std::min(watermark, start);  // prefix beyond: stale
-      out.rejected.push_back(jobs[i].id);
+      out.rejected.push_back(key.id);
     }
   }
 
-  out.schedule.reserve(schedule.size());
-  for (const RuaEntry& e : schedule) out.schedule.push_back(jobs[e.job].id);
-
-  for (const RuaEntry& e : schedule) {
-    if (jobs[e.job].runnable()) {
-      out.dispatch = jobs[e.job].id;
-      break;
-    }
-  }
+  emit(jobs, schedule, out);
 }
 
 }  // namespace lfrt::sched

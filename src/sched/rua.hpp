@@ -20,16 +20,23 @@
 // the job itself: steps 1 and 3 vanish, 2 becomes O(n), 5 becomes
 // O(n^2); the whole algorithm costs O(n^2).
 //
-// This implementation keeps the *hot path allocation-free in steady
-// state*: all scratch lives in a caller-owned RuaWorkspace whose
-// buffers retain capacity across build_into calls, the tentative
-// schedule is edited in place with an undo log instead of being copied
-// per aggregate, membership lookups go through a maintained
-// position index instead of a linear scan, and the feasibility pass
-// restarts from a maintained prefix-sum watermark instead of the head
-// of the schedule.  The modelled `ops` counts are bit-for-bit identical
-// to the naive algorithm (rua_reference.hpp), so every paper figure is
-// unchanged; only the wall-clock cost per invocation drops.
+// Chains reduce to the job itself in *any* view where no job is
+// blocked, whatever the sharing regime, so build_into checks that first
+// and only then pays for chains.  A view with no blocked job — every
+// lock-free view, and most lock-based ones (a job is blocked only while
+// it waits on a lock) — takes the lock-free steps directly: one PUD per
+// job, one sort, one ECF insertion and feasibility test per job.  The
+// id map, the CSR chains, the position index and the undo log exist
+// only for a lock-based view with at least one blocked job.  Both paths
+// charge the modelled `ops` of the naive algorithm (rua_reference.hpp)
+// bit for bit — including, on an unblocked lock-based view, the chain
+// steps that found nothing — so every paper figure is unchanged; only
+// the wall-clock cost per invocation drops.
+//
+// The hot path is *allocation-free in steady state*: all scratch lives
+// in a caller-owned RuaWorkspace whose buffers retain capacity across
+// build_into calls, and the feasibility pass restarts from a maintained
+// prefix-sum watermark instead of the head of the schedule.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +60,15 @@ struct RuaEntry {
   Time eff_critical = 0;
 };
 
+/// Step 4's sort key for one job: its PUD and the tie-breakers the sort
+/// compares (critical time, then id), plus the job's index.
+struct RuaSortKey {
+  double pud = 0.0;
+  Time critical = 0;
+  JobId id = kNoJob;
+  std::size_t job = static_cast<std::size_t>(-1);  // index into jobs
+};
+
 /// Scratch arena for RuaScheduler::build_into.
 ///
 /// Contract: a workspace belongs to one caller and must not be used by
@@ -70,9 +86,13 @@ class RuaWorkspace final : public Scheduler::Workspace {
  private:
   friend class RuaScheduler;
 
-  // Open-addressed JobId -> job-index map (linear probing, power-of-two
-  // capacity, kNoJob = empty slot) replacing the per-call
-  // std::unordered_map.
+  // Step 4's sort keys, one per live job: the PUD and the tie-breakers,
+  // packed so the sort touches no other buffer.
+  std::vector<RuaSortKey> keys;
+
+  // The chain path's scratch (a lock-based view with a blocked job):
+  // open-addressed JobId -> job-index map (linear probing, power-of-two
+  // capacity, kNoJob = empty slot).
   std::vector<JobId> map_keys;
   std::vector<std::size_t> map_vals;
 
@@ -91,11 +111,9 @@ class RuaWorkspace final : public Scheduler::Workspace {
   // built for job i (O(1) membership, replacing a scan of the chain).
   std::vector<std::size_t> chain_mark;
 
-  std::vector<double> pud;
-  std::vector<std::size_t> order;
-
-  // The committed schedule, edited in place; pos_of maps job index ->
-  // current schedule position (replacing the linear find_entry scan).
+  // The committed schedule, edited in place.  The chain path also keeps
+  // pos_of, mapping job index -> current schedule position (replacing
+  // the reference's linear find_entry scan).
   std::vector<RuaEntry> schedule;
   std::vector<std::size_t> pos_of;
 
@@ -105,7 +123,7 @@ class RuaWorkspace final : public Scheduler::Workspace {
   // feasibility pass restarts at the first modified position).
   std::vector<Time> prefix;
 
-  // Undo log of one aggregate's in-place edits, rolled back in LIFO
+  // Undo log of one chain aggregate's in-place edits, rolled back in LIFO
   // order when the tentative schedule turns out infeasible.
   struct Undo {
     enum class Kind : std::uint8_t { kInsert, kMove };
@@ -142,6 +160,9 @@ class RuaScheduler final : public Scheduler {
  private:
   void run(const std::vector<SchedJob>& jobs, Time now, RuaWorkspace& ws,
            ScheduleResult& out) const;
+  /// The full lock-based algorithm, for a view with a blocked job.
+  void run_chains(const std::vector<SchedJob>& jobs, Time now,
+                  RuaWorkspace& ws, ScheduleResult& out) const;
 
   Sharing sharing_;
   bool detect_deadlocks_;

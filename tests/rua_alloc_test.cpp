@@ -117,6 +117,31 @@ TEST(RuaAllocTest, DeadlockDetectionSteadyStateAllocatesNothing) {
   EXPECT_EQ(count_steady_state(rua, v, 10), 0);
 }
 
+TEST(RuaAllocTest, AlternatingUnblockedAndChainedViewsAllocateNothing) {
+  // A view with no blocked job skips the dependency chains; a chained
+  // one builds them.  One workspace serves both paths, so after one
+  // warm-up call on each, alternating between them must reuse every
+  // buffer, the sort keys included.
+  const RuaScheduler rua(Sharing::kLockBased, /*detect_deadlocks=*/true);
+  const View unblocked = make_view(64, /*chained=*/false);
+  const View chained = make_view(64, /*chained=*/true);
+  const auto ws = rua.make_workspace();
+  ScheduleResult out;
+  rua.build_into(unblocked.jobs, 0, ws.get(), out);
+  rua.build_into(chained.jobs, 0, ws.get(), out);
+
+  g_allocs.store(0);
+  g_frees.store(0);
+  g_counting.store(true);
+  for (int c = 0; c < 10; ++c) {
+    rua.build_into(unblocked.jobs, 0, ws.get(), out);
+    rua.build_into(chained.jobs, 0, ws.get(), out);
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocs.load(), 0);
+  EXPECT_EQ(g_frees.load(), 0);
+}
+
 TEST(RuaAllocTest, ShrinkingJobCountStaysAllocationFree) {
   // After warming at n=64, smaller views must reuse the same capacity.
   const RuaScheduler rua(Sharing::kLockFree);

@@ -3,7 +3,10 @@
 // the frozen naive reference (rua_reference.cpp) — identical schedules,
 // rejections, deadlock victims, dispatch choices, and modelled ops —
 // on randomized job sets covering mixed TUF shapes, dependency
-// forests, and deadlock cycles.
+// forests, and deadlock cycles.  Lock-based views with no blocked job
+// and with exactly one are generated on purpose: they sit on either
+// side of the optimized scheduler's switch between the chain-free path
+// and the dependency-chain path.
 //
 // One workspace and one ScheduleResult are reused across every
 // iteration, so the sweep also stresses the capacity-retention
@@ -44,9 +47,10 @@ std::unique_ptr<Tuf> random_tuf(Rng& rng, double height, Time critical) {
 
 /// How dependencies are wired for one generated job set.
 enum class DepShape {
-  kNone,     // lock-free: no blocking
-  kForest,   // waits_on only higher ids: acyclic
-  kCyclic,   // arbitrary waits_on: cycles possible (detector on)
+  kNone,        // no job blocked (lock-free, or lock-based by chance)
+  kOneBlocked,  // exactly one job blocked, on a live or departed holder
+  kForest,      // waits_on only higher ids: acyclic
+  kCyclic,      // arbitrary waits_on: cycles possible (detector on)
 };
 
 struct Generated {
@@ -56,6 +60,8 @@ struct Generated {
 
 Generated generate(Rng& rng, int n, DepShape shape) {
   Generated g;
+  const JobId blocked =
+      shape == DepShape::kOneBlocked ? rng.uniform(0, n - 1) : kNoJob;
   for (int i = 0; i < n; ++i) {
     const double height = 1.0 + static_cast<double>(rng.uniform(0, 99));
     const Time critical = usec(rng.uniform(20, 2000));
@@ -69,6 +75,11 @@ Generated generate(Rng& rng, int n, DepShape shape) {
     switch (shape) {
       case DepShape::kNone:
         j.waits_on = kNoJob;
+        break;
+      case DepShape::kOneBlocked:
+        // A holder id >= n has already departed the view.
+        j.waits_on = i == blocked ? rng.uniform(0, n) : kNoJob;
+        if (j.waits_on == i) j.waits_on = n;
         break;
       case DepShape::kForest:
         j.waits_on = (i + 1 < n && rng.chance(0.5))
@@ -125,7 +136,7 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
   const auto ws = opt_lf.make_workspace();
   ScheduleResult opt_out;
 
-  const int iters = 350;  // x4 seeds = 1400 job sets
+  const int iters = 600;  // x4 seeds = 2400 job sets
   for (int iter = 0; iter < iters; ++iter) {
     const int n = rng.uniform(1, 24);
     const Time now = usec(rng.uniform(0, 50));
@@ -133,7 +144,7 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
     const RuaScheduler* opt = nullptr;
     const RuaReferenceScheduler* ref = nullptr;
     DepShape shape = DepShape::kNone;
-    switch (iter % 3) {
+    switch (iter % 5) {
       case 0:
         opt = &opt_lf;
         ref = &ref_lf;
@@ -145,10 +156,17 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
         ref = iter % 2 ? &ref_lb : &ref_lb_detect;
         shape = DepShape::kForest;
         break;
-      default:
+      case 2:
         opt = &opt_lb_detect;
         ref = &ref_lb_detect;
         shape = DepShape::kCyclic;
+        break;
+      default:
+        // Lock-based views with no blocked job, or exactly one; both
+        // legal with the detector either way, so alternate it too.
+        opt = iter % 2 ? &opt_lb : &opt_lb_detect;
+        ref = iter % 2 ? &ref_lb : &ref_lb_detect;
+        shape = iter % 5 == 3 ? DepShape::kNone : DepShape::kOneBlocked;
         break;
     }
 
