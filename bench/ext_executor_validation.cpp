@@ -174,8 +174,6 @@ XvalRow run_pair(const workload::WorkloadSpec& spec,
   ec.cpu_count = cpus;
   ec.arrival_seed = arrival_seed;
   ec.periodic_arrivals = true;
-  ec.sim_lockfree_access_time = s_time;
-  ec.sim_lock_access_time = r_time;
   const rt::ExecutorReport exec_rep =
       runtime::run_on_executor(ts, bench::scheduler_for(mode), ec);
 
@@ -280,12 +278,11 @@ int main(int argc, char** argv) {
   // the simulator models what one access actually costs here.  Served
   // from the per-host persistent cache when available; --recalibrate
   // forces a fresh measurement and overwrites the cached entry.
-  runtime::ExecConfig cal_probe;
   const TaskSet cal_ts = workload::make_task_set(base);
   runtime::CalibrateOptions cal_opts;
   cal_opts.force = recalibrate;
   const runtime::AccessCalibration cal =
-      runtime::calibrate(cal_probe, cal_ts, tiny ? 200 : 500, cal_opts);
+      runtime::calibrate(cal_ts, tiny ? 200 : 500, cal_opts);
   std::cout << "calibrated access times: s = " << cal.lockfree_access_time
             << " ns, r = " << cal.lock_access_time << " ns ("
             << cal.samples << " samples"

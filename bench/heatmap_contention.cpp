@@ -135,8 +135,6 @@ AgreementRow run_agreement(const TaskSet& ts, runtime::ObjectImpl impl,
 
   sim::SimConfig cfg;
   cfg.mode = mode;
-  cfg.lockfree_access_time = cal.lockfree_access_time;
-  cfg.lock_access_time = cal.lock_access_time;
   cfg.cost_model = cal.model;
   cfg.objects = specs;
   cfg.sched_ns_per_op = bench::kDefaultNsPerOp;
@@ -207,12 +205,10 @@ int main(int argc, char** argv) {
   // Calibrate the per-(kind, impl) cost model on this host — served
   // from the persistent cache when a schema-current entry with a full
   // cell table exists, measured (and cached) otherwise.
-  runtime::ExecConfig cal_probe;
   const runtime::AccessCalibration cal =
-      runtime::calibrate(cal_probe, ts, tiny ? 200 : 500);
+      runtime::calibrate(ts, tiny ? 200 : 500);
   std::cout << "calibrated: s = " << cal.lockfree_access_time
-            << " ns, r = " << cal.lock_access_time << " ns, cost model "
-            << (cal.model.enabled ? "enabled" : "DISABLED") << " ("
+            << " ns, r = " << cal.lock_access_time << " ns, cost model ("
             << (cal.from_cache ? "cached" : "measured") << ")\n";
 
   bool ok = true;
@@ -234,8 +230,6 @@ int main(int argc, char** argv) {
 
       sim::SimConfig cfg;
       cfg.mode = mode;
-      cfg.lockfree_access_time = cal.lockfree_access_time;
-      cfg.lock_access_time = cal.lock_access_time;
       cfg.cost_model = cal.model;
       cfg.objects = specs;
       cfg.sched_ns_per_op = bench::kDefaultNsPerOp;

@@ -148,11 +148,10 @@ int main(int argc, char** argv) {
     max_window = std::max(max_window, t.arrival.window);
   const Time horizon = max_window * windows;
 
-  runtime::ExecConfig cal_probe;
   runtime::CalibrateOptions cal_opts;
   cal_opts.force = recalibrate;
   const runtime::AccessCalibration cal =
-      runtime::calibrate(cal_probe, ts, tiny ? 200 : 500, cal_opts);
+      runtime::calibrate(ts, tiny ? 200 : 500, cal_opts);
   std::cout << "calibrated access times: s = " << cal.lockfree_access_time
             << " ns, r = " << cal.lock_access_time << " ns ("
             << cal.samples << " samples"
@@ -202,9 +201,6 @@ int main(int argc, char** argv) {
       ec.cpu_count = cpus;
       ec.arrival_seed = arrival_seed;
       ec.periodic_arrivals = true;
-      ec.sim_lockfree_access_time = cal.lockfree_access_time;
-      ec.sim_lock_access_time = cal.lock_access_time;
-      ec.sim_cost_model = cal.model;
       const rt::ExecutorReport exec_rep =
           runtime::run_on_executor(ts, bench::scheduler_for(mode), ec);
 

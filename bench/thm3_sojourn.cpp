@@ -97,11 +97,8 @@ int main(int argc, char** argv) {
             << Table::num(min_threshold, 3) << ")\n";
 
   // ---- part two: per-impl crossover with calibrated cost shapes ------
-  runtime::ExecConfig cal_probe;
-  const runtime::AccessCalibration cal =
-      runtime::calibrate(cal_probe, ts, 300);
-  std::cout << "\nper-impl crossover — calibrated cost model "
-            << (cal.model.enabled ? "enabled" : "DISABLED") << " ("
+  const runtime::AccessCalibration cal = runtime::calibrate(ts, 300);
+  std::cout << "\nper-impl crossover — calibrated cost model ("
             << (cal.from_cache ? "cached" : "measured") << "):\n";
 
   // The calibrated cells sit at this host's nanosecond structure-op
@@ -132,8 +129,6 @@ int main(int argc, char** argv) {
             bench::pool(), 3, [&](std::int64_t rep) {
               sim::SimConfig cfg;
               cfg.mode = mode;
-              cfg.lock_access_time = r;
-              cfg.lockfree_access_time = r;  // unused: model enabled
               cfg.cost_model = model;
               cfg.objects = specs;
               cfg.sched_ns_per_op = bench::kDefaultNsPerOp;

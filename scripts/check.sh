@@ -26,10 +26,7 @@
 #      concurrent latency histogram, the sharded timer wheel, and the
 #      streaming Service ingest/admission front end
 #      (latency_histogram_test, timer_wheel_test, service_test),
-#   3. -O2 build, tier-1 suite, tiny sched_throughput + sim_throughput
-#      sweeps as bench smoke tests (the latter also re-checks
-#      serial-vs-parallel result identity in production), a
-#      heatmap_contention smoke that must report a non-empty
+#   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
 #      objects × tasks contention matrix for every kind × impl combo,
 #      a shard_adaptive smoke (adaptive-sharding invariants live), and
 #      a 3 s perfbench sim-sweep whose exit code carries the
@@ -80,8 +77,6 @@ echo "==> [3/3] optimized build + tests + bench smoke (build-o2/)"
 cmake -B build-o2 -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-o2 -j "$JOBS"
 ctest --test-dir build-o2 --output-on-failure -j "$JOBS"
-./build-o2/bench/sched_throughput --tiny --out build-o2/BENCH_sched_smoke.json
-./build-o2/bench/sim_throughput --tiny --out build-o2/BENCH_sweep_smoke.json
 # Heatmap smoke: the bench self-validates (non-empty matrix, rows ==
 # objects × tasks, attribution sums, JSON round-trip) and exits
 # non-zero on violation; the grep pins the "all combos checked" line so

@@ -30,7 +30,7 @@ struct CacheEntry {
   std::int64_t samples = 0;
   Time lockfree_ns = 0;
   Time lock_ns = 0;
-  CostModel model;  // enabled iff the entry carried a full cell table
+  CostModel model;
 };
 
 // Cache degradation is warned about exactly once per process: a bench
@@ -84,9 +84,9 @@ std::vector<CacheEntry> load_cache(const std::string& path) {
       e.samples = jsonmin::get_int(*eo, "samples");
       e.lockfree_ns = jsonmin::get_int(*eo, "lockfree_ns");
       e.lock_ns = jsonmin::get_int(*eo, "lock_ns");
-      // The per-(kind, impl) table: every cell must parse for the model
-      // to count as present; a partial table disables it (the flat
-      // scalars still serve) rather than serving half-measured costs.
+      // The per-(kind, impl) table: every cell must parse for the entry
+      // to count; a partial table is dropped (a miss, re-measured)
+      // rather than serving half-measured costs.
       std::size_t cells_seen = 0;
       if (const jsonmin::JsonValue* cv = jsonmin::find(*eo, "cells")) {
         if (const jsonmin::JsonArray* cells = cv->as_array()) {
@@ -112,8 +112,9 @@ std::vector<CacheEntry> load_cache(const std::string& path) {
           }
         }
       }
-      e.model.enabled = cells_seen == kObjectKindCount * kObjectImplCount;
-      if (e.lockfree_ns > 0 && e.lock_ns > 0) entries.push_back(std::move(e));
+      if (cells_seen == kObjectKindCount * kObjectImplCount &&
+          e.lockfree_ns > 0 && e.lock_ns > 0)
+        entries.push_back(std::move(e));
     }
   } catch (const std::exception&) {
     // A corrupt cache is indistinguishable from no cache.
@@ -145,26 +146,23 @@ void store_cache(const std::string& path,
     out += ",\"samples\":" + std::to_string(e.samples);
     out += ",\"lockfree_ns\":" + std::to_string(e.lockfree_ns);
     out += ",\"lock_ns\":" + std::to_string(e.lock_ns);
-    if (e.model.enabled) {
-      out += ",\"cells\":[";
-      bool first = true;
-      for (ObjectKind kind : all_object_kinds()) {
-        for (ObjectImpl impl : all_object_impls()) {
-          const AccessCost& cell = e.model.at(kind, impl);
-          if (!first) out += ',';
-          first = false;
-          out += "{\"kind\":\"" + to_string(kind) + "\"";
-          out += ",\"impl\":\"" + to_string(impl) + "\"";
-          out += ",\"base_ns\":" + std::to_string(cell.base);
-          out += ",\"per_contender_ns\":" + std::to_string(cell.per_contender);
-          out += ",\"per_segment_ns\":" + std::to_string(cell.per_segment);
-          out += ",\"retry_ns\":" + std::to_string(cell.retry_penalty);
-          out += '}';
-        }
+    out += ",\"cells\":[";
+    bool first = true;
+    for (ObjectKind kind : all_object_kinds()) {
+      for (ObjectImpl impl : all_object_impls()) {
+        const AccessCost& cell = e.model.at(kind, impl);
+        if (!first) out += ',';
+        first = false;
+        out += "{\"kind\":\"" + to_string(kind) + "\"";
+        out += ",\"impl\":\"" + to_string(impl) + "\"";
+        out += ",\"base_ns\":" + std::to_string(cell.base);
+        out += ",\"per_contender_ns\":" + std::to_string(cell.per_contender);
+        out += ",\"per_segment_ns\":" + std::to_string(cell.per_segment);
+        out += ",\"retry_ns\":" + std::to_string(cell.retry_penalty);
+        out += '}';
       }
-      out += ']';
     }
-    out += '}';
+    out += "]}";
   }
   out += "]}\n";
   std::error_code ec;
@@ -224,7 +222,6 @@ Time round_ns(double ns) {
 
 CostModel measure_cost_model(std::int64_t ops) {
   CostModel model;
-  model.enabled = true;
   // Contended pass capped at the core count: the zoo's locks spin, and
   // oversubscribed spinning measures the OS scheduler, not the lock.
   const int contended = static_cast<int>(
@@ -285,8 +282,7 @@ AccessCalibration calibrate_access_times(const rt::AccessTimeConfig& mcfg) {
   return cal;
 }
 
-AccessCalibration calibrate(ExecConfig& cfg, const TaskSet& ts,
-                            std::int64_t samples,
+AccessCalibration calibrate(const TaskSet& ts, std::int64_t samples,
                             const CalibrateOptions& opts) {
   const std::string path =
       opts.cache_path.empty() ? calibration_cache_path() : opts.cache_path;
@@ -303,17 +299,13 @@ AccessCalibration calibrate(ExecConfig& cfg, const TaskSet& ts,
 
   if (use_cache && !opts.force) {
     for (const CacheEntry& e : load_cache(path)) {
-      if (e.host == host && e.cpus == cpus && e.samples == samples &&
-          e.model.enabled) {
+      if (e.host == host && e.cpus == cpus && e.samples == samples) {
         AccessCalibration cal;
         cal.lockfree_access_time = e.lockfree_ns;
         cal.lock_access_time = e.lock_ns;
         cal.samples = e.samples;
         cal.from_cache = true;
         cal.model = e.model;
-        cfg.sim_lockfree_access_time = cal.lockfree_access_time;
-        cfg.sim_lock_access_time = cal.lock_access_time;
-        cfg.sim_cost_model = cal.model;
         return cal;
       }
     }
@@ -326,9 +318,6 @@ AccessCalibration calibrate(ExecConfig& cfg, const TaskSet& ts,
   mcfg.samples = samples;
   AccessCalibration cal = calibrate_access_times(mcfg);
   cal.model = measure_cost_model(samples);
-  cfg.sim_lockfree_access_time = cal.lockfree_access_time;
-  cfg.sim_lock_access_time = cal.lock_access_time;
-  cfg.sim_cost_model = cal.model;
 
   if (use_cache) {
     std::vector<CacheEntry> entries = load_cache(path);

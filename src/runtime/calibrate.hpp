@@ -1,25 +1,24 @@
 // Executor-side access-time calibration.
 //
 // Cross-validation (bench/ext_executor_validation) feeds the simulator
-// per-access costs s and r so it predicts what the executor will
-// measure.  Until now those were order-of-magnitude constants
-// (usec(1) / usec(2)); this helper runs the fig08 access-time
-// microbenchmarks (rt::measure_lockfree_access /
-// rt::measure_lockbased_access) on the current host and writes the
-// measured means into ExecConfig's sim_* fields — so the simulator side
-// of a cross-validation run is parameterized by the same machine that
-// produces the executor side (the paper's Section 5 measurement,
-// feeding its Section 6 simulation).
+// per-access costs so it predicts what the executor will measure.
+// calibrate() runs the fig08 access-time microbenchmarks
+// (rt::measure_lockfree_access / rt::measure_lockbased_access) on the
+// current host and returns the measured means as the paper's s and r —
+// so the simulator side of a cross-validation run is parameterized by
+// the same machine that produces the executor side (the paper's
+// Section 5 measurement, feeding its Section 6 simulation).
 //
-// Beyond the two flat scalars, calibrate() measures one AccessCost cell
-// per (ObjectKind, ObjectImpl) combo by hammering the real
-// runtime::SharedObject for that spec: a single-threaded pass gives the
-// cell's base cost, a multi-threaded pass (capped at the host's core
-// count) gives the contended cost, and the per-contender slope is the
-// clamped difference per extra thread — the measured counterpart of the
-// mechanism shapes the zoo's cost models predict (ticket linear,
-// Anderson flatter, MCS near-flat).  Snapshot cells also get a
-// per-segment scan term from the read-vs-write gap.
+// It also measures one AccessCost cell per (ObjectKind, ObjectImpl)
+// combo by hammering the real runtime::SharedObject for that spec: a
+// single-threaded pass gives the cell's base cost, a multi-threaded
+// pass (capped at the host's core count) gives the contended cost, and
+// the per-contender slope is the clamped difference per extra thread —
+// the measured counterpart of the mechanism shapes the zoo's cost
+// models predict (ticket linear, Anderson flatter, MCS near-flat).
+// Snapshot cells also get a per-segment scan term from the
+// read-vs-write gap.  A harness hands the table to
+// sim::SimConfig::cost_model.
 //
 // Measurements are stable per host, so they are cached persistently:
 // calibrate() consults a small JSON file keyed by hostname + CPU count
@@ -31,8 +30,9 @@
 // The file carries a schema version (kCalibrationCacheSchema); a cache
 // written by an older build — including the pre-zoo flat-scalar format,
 // which had no version field — fails the schema check and is treated
-// exactly like a missing cache: calibrate() silently re-measures and
-// overwrites it in the current format.  Pass
+// exactly like a missing cache, and an entry without the full cell
+// table is dropped when the file is read: calibrate() silently
+// re-measures and overwrites it in the current format.  Pass
 // CalibrateOptions{.force = true} (the benches' --recalibrate) to
 // re-measure and overwrite the entry; cache I/O failures fall back to
 // measuring with a once-per-process warning — calibration never fails
@@ -43,8 +43,8 @@
 
 #include "rt/access_time.hpp"
 #include "runtime/cost_model.hpp"
-#include "runtime/exec_adapter.hpp"
 #include "support/time.hpp"
+#include "task/task.hpp"
 
 namespace lfrt::runtime {
 
@@ -59,7 +59,7 @@ struct AccessCalibration {
   std::int64_t samples = 0;       ///< samples behind each mean
   bool from_cache = false;        ///< true when served from the cache
 
-  /// Per-(kind, impl) cell measurements (enabled = true once filled).
+  /// Per-(kind, impl) cell measurements.
   CostModel model;
 };
 
@@ -84,20 +84,17 @@ AccessCalibration calibrate_access_times(const rt::AccessTimeConfig& mcfg);
 /// Measure one AccessCost cell per (kind, impl) combo on this host (see
 /// the header comment for the method).  `ops` is the access count per
 /// measurement pass; a few hundred suffices for cross-validation-grade
-/// numbers.  The returned model has enabled = true.
+/// numbers.
 CostModel measure_cost_model(std::int64_t ops);
 
-/// Measure with a config shaped like `ts`'s universe (object/task
-/// counts) and write the results into cfg.sim_lockfree_access_time /
-/// cfg.sim_lock_access_time / cfg.sim_cost_model.  `samples` trades
-/// precision for startup
-/// time (the fig08 bench uses 2000; a few hundred suffices to get the
-/// order of magnitude right for cross-validation).  With the default
-/// options a prior measurement for this host/CPU-count/sample budget is
-/// reused from the persistent cache; a fresh measurement is written
-/// back (best-effort).
-AccessCalibration calibrate(ExecConfig& cfg, const TaskSet& ts,
-                            std::int64_t samples = 500,
+/// Measure s, r and the cell table with a config shaped like `ts`'s
+/// universe (object/task counts).  `samples` trades precision for
+/// startup time (the fig08 bench uses 2000; a few hundred suffices to
+/// get the order of magnitude right for cross-validation).  With the
+/// default options a prior measurement for this host/CPU-count/sample
+/// budget is reused from the persistent cache; a fresh measurement is
+/// written back (best-effort).
+AccessCalibration calibrate(const TaskSet& ts, std::int64_t samples = 500,
                             const CalibrateOptions& opts = {});
 
 }  // namespace lfrt::runtime

@@ -2,9 +2,9 @@
 //
 // The paper's timing analysis reduces every shared-object access to two
 // scalars: s (one lock-free attempt) and r (one lock-based critical
-// section).  That was honest while the repo had exactly one lock; with
-// the zoo (lockbased/locks.hpp) the mechanisms differ precisely in how
-// cost *scales* with contention — the thing a flat scalar can't say:
+// section).  The lock zoo (lockbased/locks.hpp) differs precisely in
+// how cost *scales* with contention — the thing a flat scalar can't
+// say:
 //
 //   * ticket   — every waiter spins on one word, every release
 //                invalidates all of them: cost ≈ base + c·contenders
@@ -20,13 +20,11 @@
 //                simulator models separately as f_i events).
 //
 // A CostModel is a dense (kind, impl) table of AccessCost cells, filled
-// in by runtime::calibrate from measurements of the real structures and
-// consumed by sim::Simulator when `enabled`.  Disabled (the default) it
-// is inert and the simulator uses its legacy flat lock_access_time /
-// lockfree_access_time scalars, byte-for-byte — pre-zoo configs stay
-// bit-identical (pinned by tests/cost_model_test.cpp).  CostModel::flat
-// builds an enabled table that reproduces exactly those flat scalars,
-// which is both the compatibility bridge and the identity test.
+// in by runtime::calibrate from measurements of the real structures.
+// sim::Simulator prices every access attempt from one cell per object.
+// The paper's two scalars are the special case CostModel::flat(s, r):
+// every lock-free cell costs s, every lock cell costs r, and nothing
+// scales — which is what the simulator uses when no table is given.
 #pragma once
 
 #include <array>
@@ -77,10 +75,6 @@ inline Time access_cost(const AccessCost& cost, ObjectKind kind, bool write,
 /// Dense (kind, impl) table of AccessCost cells.
 class CostModel {
  public:
-  /// When false (default) the table is ignored and the simulator uses
-  /// its flat lock/lockfree scalars — the pre-zoo model, bit-identical.
-  bool enabled = false;
-
   AccessCost& at(ObjectKind kind, ObjectImpl impl) {
     return cells_[index(kind, impl)];
   }
@@ -88,13 +82,12 @@ class CostModel {
     return cells_[index(kind, impl)];
   }
 
-  /// An enabled table reproducing the flat two-scalar model exactly:
-  /// every lock-free cell costs `lockfree`, every lock cell costs
-  /// `lock`, no scaling terms.  Feeding this to the simulator must
-  /// yield bit-identical runs to the disabled path (pinned in tests).
+  /// The paper's two-scalar model as a table: every lock-free cell
+  /// costs `lockfree`, every lock cell costs `lock`, no scaling terms.
+  /// The simulator prices accesses with this table when it is given
+  /// none, so passing it explicitly changes nothing (pinned in tests).
   static CostModel flat(Time lockfree, Time lock) {
     CostModel m;
-    m.enabled = true;
     for (ObjectKind kind : all_object_kinds())
       for (ObjectImpl impl : all_object_impls())
         m.at(kind, impl).base =

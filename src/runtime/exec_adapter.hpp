@@ -22,7 +22,6 @@
 #include "rt/executor.hpp"
 #include "runtime/contention_controller.hpp"
 #include "sched/placement.hpp"
-#include "runtime/cost_model.hpp"
 #include "runtime/object_spec.hpp"
 #include "task/task.hpp"
 #include "workload/workload.hpp"
@@ -85,22 +84,6 @@ struct ExecConfig {
   /// promoting/demoting shard counts on the real sharded structures and
   /// steering the executor's dispatch by the epoch conflict vector.
   ControllerConfig controller;
-
-  /// Simulator-side access costs — s and r of Section 5 — used when a
-  /// harness cross-validates this run against sim::Simulator.  The
-  /// defaults are order-of-magnitude placeholders; calibrate()
-  /// (runtime/calibrate.hpp) replaces them with values measured on this
-  /// host by the fig08 access-time machinery.
-  Time sim_lockfree_access_time = usec(1);
-  Time sim_lock_access_time = usec(2);
-
-  /// Per-(kind, impl) cost table for the simulator side of a cross-
-  /// validation run.  Disabled by default (the flat scalars above rule,
-  /// as before the lock zoo); calibrate() fills and enables it, and a
-  /// harness copies it into SimConfig::cost_model so the zoo's
-  /// mechanisms separate in simulated time the way they do on the
-  /// executor's real locks.
-  CostModel sim_cost_model;
 };
 
 /// Per-task arrival traces over [0, horizon], indexed by TaskId — byte-

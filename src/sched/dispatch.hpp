@@ -16,6 +16,7 @@
 // between threads, steady-state allocation-free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -29,10 +30,6 @@ namespace lfrt::sched {
 
 class DispatchSelector {
  public:
-  /// Pre-size the membership stamps for `n` job ids (optional; the
-  /// stamps grow on demand).
-  void reserve(std::size_t n) { stamp_.reserve(n); }
-
   /// Install the contention controller's per-task conflict vector:
   /// groups[task] is the shared object that task is currently hammering
   /// (-1 = none).  While non-empty, select avoids co-scheduling two
@@ -58,9 +55,11 @@ class DispatchSelector {
   /// run off-CPU), then the scheduler's own dispatch choice (which may
   /// differ from the first runnable schedule entry — e.g. EDF+PIP
   /// dispatches a lock *holder* on behalf of the blocked head), then
-  /// the schedule's entries in order.  Entries are deduplicated in O(1)
-  /// via generation stamps and filtered by `eligible(id)` (front jobs
-  /// are the caller's to vet).  Ids must be < `id_limit`.
+  /// the schedule's entries in order.  Entries are deduplicated against
+  /// the targets picked so far (at most `cpu_count` of them, so the
+  /// selector's memory does not grow with the ids it has seen) and
+  /// filtered by `eligible(id)` (front jobs are the caller's to vet).
+  /// Ids outside [0, `id_limit`) are skipped.
   ///
   /// `task_of(id)` maps a job to its task; it is consulted only while
   /// conflict groups are installed or the placement is not global.
@@ -90,7 +89,6 @@ class DispatchSelector {
     const bool by_task = !groups_.empty() || !pl.global();
     targets_.clear();
     deferred_.clear();
-    if (stamp_.size() < id_limit) stamp_.resize(id_limit, 0);
     ++gen_;
     const auto full = [&] {
       return static_cast<int>(targets_.size()) >= cpu_count;
@@ -110,8 +108,10 @@ class DispatchSelector {
       const std::int32_t cl = pl.cluster_of_task(t);
       return cl < 0 || cluster_room_[static_cast<std::size_t>(cl)] > 0;
     };
+    const auto picked = [&](JobId id) {
+      return std::find(targets_.begin(), targets_.end(), id) != targets_.end();
+    };
     const auto push = [&](JobId id, TaskId t) {
-      stamp_[static_cast<std::size_t>(id)] = gen_;
       const std::int32_t g = group_of(t);
       if (g >= 0) {
         if (static_cast<std::size_t>(g) >= group_stamp_.size())
@@ -129,8 +129,7 @@ class DispatchSelector {
       if (full()) break;
       push(id, task(id));
     }
-    if (!full() && in_range(res.dispatch) &&
-        stamp_[static_cast<std::size_t>(res.dispatch)] != gen_ &&
+    if (!full() && in_range(res.dispatch) && !picked(res.dispatch) &&
         eligible(res.dispatch)) {
       const TaskId t = task(res.dispatch);
       if (has_room(t)) push(res.dispatch, t);
@@ -138,7 +137,7 @@ class DispatchSelector {
     for (JobId id : res.schedule) {
       if (full()) break;
       if (!in_range(id)) continue;
-      if (stamp_[static_cast<std::size_t>(id)] == gen_) continue;
+      if (picked(id)) continue;
       if (!eligible(id)) continue;
       const TaskId t = task(id);
       if (!has_room(t)) continue;
@@ -246,10 +245,8 @@ class DispatchSelector {
   std::vector<JobId> deferred_;
   std::vector<JobId> unplaced_;
   std::vector<JobId> reserved_;  ///< cpu -> unplaced sticky soft claim
-  // Membership stamps: stamp_[id] == gen_ iff id is already in
-  // targets_ this selection — O(1) dedup without a per-entry scan.
-  // group_stamp_ is the same trick keyed by conflict-group id.
-  std::vector<std::int64_t> stamp_;
+  // Conflict-group stamps: group_stamp_[g] == gen_ iff a job of group
+  // g is already in targets_ this selection.
   std::vector<std::int64_t> group_stamp_;
   std::int64_t gen_ = 0;
   std::vector<std::int32_t> groups_;  ///< task -> conflict group (-1 none)

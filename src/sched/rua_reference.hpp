@@ -5,8 +5,8 @@
 // to this one: identical schedules, rejections, deadlock victims,
 // dispatch choices, and modelled `ops` counts on every input
 // (tests/rua_equivalence_test.cpp checks this over randomized
-// workloads; bench/sched_throughput.cpp measures the speedup against
-// it).  Do NOT optimize or otherwise modify this implementation — its
+// workloads and at n = 64 and 256; perfbench's sim-sweep replays its
+// cells under it).  Do NOT optimize or otherwise modify this implementation — its
 // value is that it stays simple enough to audit against the paper's
 // pseudo-code (Figures 3-5) and slow enough to show what the workspace
 // rework buys.

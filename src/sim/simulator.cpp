@@ -98,10 +98,9 @@ struct Simulator::Impl {
   std::vector<Job> jobs;
   std::vector<int> job_cpu;  // per job: CPU it occupies, or -1
   // Per job: length of its current access attempt, set when the attempt
-  // starts (access start, lock acquisition, retry).  With the cost
-  // model disabled this always equals access_len(object); enabled, it
-  // bakes in the contender count observed at attempt start — stored so
-  // milestone reposts see one stable length for the whole attempt.
+  // starts (access start, lock acquisition, retry).  It bakes in the
+  // contender count observed at attempt start — stored so milestone
+  // reposts see one stable length for the whole attempt.
   std::vector<Time> attempt_len_;
   // Per job: instance of the flat-mode held lock, recorded at
   // acquisition, so a placement migration mid-hold still releases the
@@ -163,6 +162,10 @@ struct Simulator::Impl {
   // Resolved per-object specs (one per ObjectId; the homogeneous
   // default when cfg.objects is empty).
   std::vector<runtime::ObjectSpec> obj_specs;
+  // Per object: its (kind, impl) cell of cfg.cost_model, or of
+  // CostModel::flat(s, r) when no table is given — the one price list
+  // every access attempt reads.
+  std::vector<runtime::AccessCost> obj_cost_;
 
   // The adaptive-sharding policy, stepped from deterministic
   // kController epoch events — the same core the executor's controller
@@ -175,9 +178,6 @@ struct Simulator::Impl {
       : tasks(std::move(ts)), scheduler(&sch), cfg(c) {
     tasks.validate();
     LFRT_CHECK_MSG(cfg.cpu_count >= 1, "need at least one CPU");
-    if (cfg.mode == ShareMode::kLockFree)
-      LFRT_CHECK_MSG(cfg.lockfree_access_time > 0,
-                     "lock-free access time must be positive");
     for (const auto& t : tasks.tasks) {
       if (t.nested())
         LFRT_CHECK_MSG(cfg.mode == ShareMode::kLockBased,
@@ -195,12 +195,6 @@ struct Simulator::Impl {
                          tasks.object_count,
                      "SimConfig::objects must list one spec per object");
       obj_specs = cfg.objects;
-      if (cfg.mode != ShareMode::kIdeal) {
-        for (const auto& s : obj_specs)
-          if (s.impl == runtime::ObjectImpl::kLockFree)
-            LFRT_CHECK_MSG(cfg.lockfree_access_time > 0,
-                           "lock-free access time must be positive");
-      }
       // Nested spans model critical sections; their objects must be
       // lock-based under a mixed universe.
       for (const auto& t : tasks.tasks)
@@ -210,6 +204,24 @@ struct Simulator::Impl {
                   obj_specs[static_cast<std::size_t>(sp.object)].impl),
               "nested spans require lock-based objects");
     }
+    if (!cfg.cost_model && cfg.mode != ShareMode::kIdeal) {
+      // The scalars price the accesses, so each one in use must be
+      // positive (the table would silently round zero up to 1 ns).
+      LFRT_CHECK_MSG(
+          cfg.mode != ShareMode::kLockFree || cfg.lockfree_access_time > 0,
+          "lock-free access time must be positive");
+      for (const auto& s : obj_specs)
+        LFRT_CHECK_MSG((runtime::is_lock_based(s.impl)
+                            ? cfg.lock_access_time
+                            : cfg.lockfree_access_time) > 0,
+                       "access times must be positive");
+    }
+    const runtime::CostModel model =
+        cfg.cost_model.value_or(runtime::CostModel::flat(
+            cfg.lockfree_access_time, cfg.lock_access_time));
+    obj_cost_.reserve(obj_specs.size());
+    for (const auto& s : obj_specs)
+      obj_cost_.push_back(model.at(s.kind, s.impl));
     TaskId max_task = -1;
     for (const auto& t : tasks.tasks) max_task = std::max(max_task, t.id);
     placement_ = cfg.dispatch.placement;
@@ -383,16 +395,6 @@ struct Simulator::Impl {
            static_cast<std::size_t>(inst);
   }
 
-  /// Per-object access segment length under the flat model: r for
-  /// lock-based objects, s for lock-free ones, 0 under the ideal
-  /// yardstick.  With the cost model enabled this is superseded per
-  /// attempt by attempt_cost below.
-  Time access_len(ObjectId o) const {
-    if (cfg.mode == ShareMode::kIdeal) return 0;
-    return lock_based_obj(o) ? cfg.lock_access_time
-                             : cfg.lockfree_access_time;
-  }
-
   /// Other alive jobs currently in, or blocked on, an access of `o` —
   /// the contender count the cost model's per-contender term scales by.
   /// Under scoped placement only same-instance jobs contend (disjoint
@@ -411,17 +413,18 @@ struct Simulator::Impl {
     return n;
   }
 
-  /// Length of the access attempt job `self` starts on `o` right now.
-  /// Flat path (model disabled) is access_len — bit-identical to the
-  /// pre-model simulator; enabled, the object's (kind, impl) cell is
-  /// evaluated against the live contender count.  `retried` marks a
-  /// restarted attempt (adds the cell's retry penalty).
+  /// Length of the access attempt job `self` starts on `o` right now:
+  /// the object's cell evaluated against the live contender count (0
+  /// under the ideal yardstick).  The contenders are only counted when
+  /// the cell has a slope to multiply them by, so flat cells skip the
+  /// scan.  `retried` marks a restarted attempt (adds the cell's retry
+  /// penalty).
   Time attempt_cost(ObjectId o, bool write, JobId self, bool retried) const {
     if (cfg.mode == ShareMode::kIdeal) return 0;
-    if (!cfg.cost_model.enabled) return access_len(o);
-    const runtime::ObjectSpec& spec = obj_specs[static_cast<std::size_t>(o)];
-    return runtime::access_cost(cfg.cost_model.at(spec.kind, spec.impl),
-                                spec.kind, write, contenders_on(o, self),
+    const runtime::AccessCost& cell = obj_cost_[static_cast<std::size_t>(o)];
+    const std::int64_t contenders =
+        cell.per_contender != 0 ? contenders_on(o, self) : 0;
+    return runtime::access_cost(cell, kind_of(o), write, contenders,
                                 retried ? 1 : 0);
   }
 
@@ -430,10 +433,8 @@ struct Simulator::Impl {
   /// shown estimates, not clairvoyant contention).
   Time pending_cost(ObjectId o, bool write) const {
     if (cfg.mode == ShareMode::kIdeal) return 0;
-    if (!cfg.cost_model.enabled) return access_len(o);
-    const runtime::ObjectSpec& spec = obj_specs[static_cast<std::size_t>(o)];
-    return runtime::access_cost(cfg.cost_model.at(spec.kind, spec.impl),
-                                spec.kind, write, /*contenders=*/0);
+    return runtime::access_cost(obj_cost_[static_cast<std::size_t>(o)],
+                                kind_of(o), write, /*contenders=*/0);
   }
 
   /// The stored length of `j`'s in-flight attempt (valid while
@@ -747,6 +748,34 @@ struct Simulator::Impl {
     }
   }
 
+  /// A lock request by `j` on instance `inst` of `obj` — a scheduling
+  /// event either way.  With a unit free, `j` takes it and starts its
+  /// critical section (returns true; the caller records the hold).
+  /// Otherwise `j` blocks on the earliest holder, the dependency chain's
+  /// target, and leaves its CPU (returns false).
+  bool request_lock(Job& j, ObjectId obj, std::int32_t inst, bool write) {
+    auto& hs = holders[hidx(obj, inst)];
+    if (static_cast<std::int32_t>(hs.size()) < tasks.units_of(obj)) {
+      hs.push_back(j.id);
+      j.in_access = true;
+      j.access_progress = 0;
+      j.access_object = obj;
+      set_attempt_len(j, attempt_cost(obj, write, j.id, /*retried=*/false));
+      return true;
+    }
+    j.state = JobState::kBlocked;
+    j.waits_on = hs.front();
+    j.access_object = obj;
+    ++j.blockings;
+    ++report.total_blockings;
+    ++ccell(obj, j.task).blockings;
+    const int c = cpu_of(j.id);
+    LFRT_CHECK(c >= 0);
+    clear_cpu(c);
+    trace("blocked job=", j.id, " on=", hs.front(), " obj=", obj);
+    return false;
+  }
+
   void release_object(Job& j, ObjectId obj, std::int32_t inst) {
     auto& hs = holders[hidx(obj, inst)];
     const auto it = std::find(hs.begin(), hs.end(), j.id);
@@ -844,33 +873,13 @@ struct Simulator::Impl {
           continue_running();  // not a scheduling event
           return;
         }
-        // Lock-based: a lock request — a scheduling event either way.
-        // Scoped placement routes the request to the task's cluster
-        // instance of the object.
+        // Lock-based: a lock request.  Scoped placement routes it to
+        // the task's cluster instance of the object.
         const std::int32_t inst = lock_inst(obj, j.task);
-        auto& hs = holders[hidx(obj, inst)];
-        if (static_cast<std::int32_t>(hs.size()) < tasks.units_of(obj)) {
-          hs.push_back(j.id);
+        if (request_lock(j, obj, inst, is_write)) {
           j.held_object = obj;
           held_inst_[static_cast<std::size_t>(j.id)] = inst;
-          j.in_access = true;
-          j.access_progress = 0;
-          j.access_object = obj;
-          set_attempt_len(j, attempt_cost(obj, is_write, j.id,
-                                          /*retried=*/false));
           trace("lock acquired job=", j.id, " obj=", obj);
-        } else {
-          // Block on the earliest holder: the dependency chain's target.
-          j.state = JobState::kBlocked;
-          j.waits_on = hs.front();
-          j.access_object = obj;
-          ++j.blockings;
-          ++report.total_blockings;
-          ++ccell(obj, j.task).blockings;
-          const int c = cpu_of(j.id);
-          LFRT_CHECK(c >= 0);
-          clear_cpu(c);
-          trace("blocked job=", j.id, " on=", hs.front(), " obj=", obj);
         }
         reschedule();
         return;
@@ -955,32 +964,15 @@ struct Simulator::Impl {
         LFRT_CHECK(j.compute_done ==
                    scaled(j, p.spans[j.next_span].acquire_offset));
         const ObjectId obj = p.spans[j.next_span].object;
-        auto& hs = holders[hidx(obj, 0)];  // spans exclude scoping
-        if (static_cast<std::int32_t>(hs.size()) < tasks.units_of(obj)) {
-          hs.push_back(j.id);
+        // Spans exclude scoping, so the instance is always 0.
+        if (request_lock(j, obj, 0, /*write=*/true)) {
           j.held_stack.push_back(obj);
           j.open_spans.push_back(j.next_span);
           ++j.next_span;
-          j.in_access = true;
-          j.access_progress = 0;
-          j.access_object = obj;
-          set_attempt_len(j, attempt_cost(obj, /*write=*/true, j.id,
-                                          /*retried=*/false));
           trace("span acquired job=", j.id, " obj=", obj,
                 " depth=", j.held_stack.size());
-        } else {
-          j.state = JobState::kBlocked;
-          j.waits_on = hs.front();
-          j.access_object = obj;
-          ++j.blockings;
-          ++report.total_blockings;
-          ++ccell(obj, j.task).blockings;
-          const int c = cpu_of(j.id);
-          LFRT_CHECK(c >= 0);
-          clear_cpu(c);
-          trace("blocked job=", j.id, " on=", hs.front(), " obj=", obj);
         }
-        reschedule();  // lock request — a scheduling event either way
+        reschedule();
         return;
       }
 
@@ -1117,7 +1109,6 @@ struct Simulator::Impl {
     job_cpu.reserve(total_arrivals);
     attempt_len_.reserve(total_arrivals);
     held_inst_.reserve(total_arrivals);
-    selector.reserve(total_arrivals);
 
     if (controller)
       q.push(Event{cfg.controller.epoch, 0, next_seq++, EvKind::kController,

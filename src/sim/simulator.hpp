@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,15 +73,16 @@ struct SimConfig {
   Time lock_access_time = usec(10);    ///< r — lock-based access time
   Time lockfree_access_time = usec(1); ///< s — lock-free access time
 
-  /// Per-(kind, impl) access-cost table (runtime/cost_model.hpp).  When
-  /// `cost_model.enabled`, an access attempt's length is computed from
-  /// the object's cell — base + per-contender scaling by the number of
-  /// other jobs concurrently in or blocked on the same object, plus the
-  /// snapshot scan and retry terms — instead of the two flat scalars
-  /// above, so the zoo's mechanisms (ticket's linear slope, MCS's flat
-  /// handoff) separate in simulated time.  Disabled (default) preserves
-  /// the flat model bit-for-bit; kIdeal zeroes accesses either way.
-  runtime::CostModel cost_model;
+  /// Per-(kind, impl) access-cost table (runtime/cost_model.hpp).  Every
+  /// access attempt is priced from its object's cell: base +
+  /// per-contender scaling by the number of other jobs concurrently in
+  /// or blocked on the same object, plus the snapshot scan and retry
+  /// terms — so the zoo's mechanisms (ticket's linear slope, MCS's flat
+  /// handoff) separate in simulated time.  Unset, the table is
+  /// CostModel::flat(lockfree_access_time, lock_access_time): the
+  /// paper's s and r, and the two scalars above are read only then.
+  /// kIdeal zeroes accesses either way.
+  std::optional<runtime::CostModel> cost_model;
   double sched_ns_per_op = 0.0;        ///< overhead per counted op
   Time horizon = msec(1000);           ///< simulation end
   bool record_trace = false;           ///< collect a human-readable trace
@@ -151,7 +153,7 @@ struct SimReport : runtime::RunReport {
 
   /// Discrete events consumed from the queue (arrivals, expiries,
   /// milestones) — the denominator for per-event cost measurements
-  /// (bench/sim_throughput).
+  /// (perfbench's sim.ns_per_event layers).
   std::int64_t events_processed = 0;
 
   std::int64_t deadlocks_resolved = 0;  ///< cycle victims aborted (nested)

@@ -6,10 +6,10 @@
 //     snapshot-scan terms exactly as documented, and never returns a
 //     zero-length access,
 //   * flat identity — a CostModel::flat(s, r) table fed to the
-//     simulator reproduces the disabled-model (pre-zoo flat-scalar)
-//     runs bit-exactly, pinned by comparing serialized reports; this is
-//     the compatibility bridge that keeps pre-refactor default-config
-//     sims unchanged,
+//     simulator reproduces the runs it makes with no table (priced by
+//     the s and r scalars) bit-exactly, pinned by comparing serialized
+//     reports, across flat and nested accesses, one CPU and a
+//     partitioned pair with per-cluster objects,
 //   * cache schema — the persistent calibration cache is gated on
 //     kCalibrationCacheSchema: a malformed file, a pre-zoo flat-format
 //     file (no "schema" key), or a current-schema entry without the
@@ -79,7 +79,6 @@ TEST(AccessCostArithmetic, MonotoneInContenders) {
 
 TEST(CostModelTable, FlatFillsEveryCell) {
   const CostModel m = CostModel::flat(7, 13);
-  EXPECT_TRUE(m.enabled);
   for (const ObjectKind kind : runtime::all_object_kinds()) {
     for (const ObjectImpl impl : runtime::all_object_impls()) {
       const AccessCost& c = m.at(kind, impl);
@@ -89,7 +88,7 @@ TEST(CostModelTable, FlatFillsEveryCell) {
       EXPECT_EQ(c.retry_penalty, 0);
     }
   }
-  EXPECT_FALSE(CostModel{}.enabled);
+  EXPECT_EQ(CostModel{}, CostModel::flat(0, 0));
 }
 
 // ---- flat identity against the simulator ---------------------------
@@ -127,8 +126,7 @@ sim::SimReport run_once(sim::ShareMode mode, bool with_flat_model) {
   return sim.run();
 }
 
-/// CostModel::flat(s, r) must be indistinguishable from the disabled
-/// model: same jobs, same retries/blockings, same completions — pinned
+/// CostModel::flat(s, r) must be indistinguishable from no table: same jobs, same retries/blockings, same completions — pinned
 /// by comparing the serialized reports byte for byte.
 TEST(CostModelFlatIdentity, LockFreeRunsBitIdentical) {
   const sim::SimReport off = run_once(sim::ShareMode::kLockFree, false);
@@ -142,6 +140,82 @@ TEST(CostModelFlatIdentity, LockBasedRunsBitIdentical) {
   const sim::SimReport on = run_once(sim::ShareMode::kLockBased, true);
   EXPECT_GT(off.counted_jobs, 0);
   EXPECT_EQ(runtime::to_json(off), runtime::to_json(on));
+}
+
+/// Runs `cfg` once with no table and once with CostModel::flat of its
+/// own scalars, expects byte-identical serialized reports, and returns
+/// the first run.
+sim::SimReport expect_flat_identity(const TaskSet& ts, const sim::SimConfig& cfg,
+                                    const sched::Scheduler& scheduler) {
+  const auto run = [&](bool with_flat_model) {
+    sim::SimConfig c = cfg;
+    if (with_flat_model)
+      c.cost_model =
+          CostModel::flat(c.lockfree_access_time, c.lock_access_time);
+    sim::Simulator sim(ts, scheduler, c);
+    sim.seed_arrivals(42);
+    return sim.run();
+  };
+  const sim::SimReport off = run(false);
+  const sim::SimReport on = run(true);
+  EXPECT_GT(off.counted_jobs, 0);
+  EXPECT_EQ(runtime::to_json(off), runtime::to_json(on));
+  return off;
+}
+
+Time horizon_of(const TaskSet& ts, Time windows) {
+  Time max_window = 0;
+  for (const auto& t : ts.tasks)
+    max_window = std::max(max_window, t.arrival.window);
+  return max_window * windows;
+}
+
+TEST(CostModelFlatIdentity, NestedSpansWithDeadlockDetectionBitIdentical) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 4;
+  spec.object_count = 2;
+  spec.avg_exec = usec(300);
+  spec.load = 0.9;
+  spec.nest_depth = 2;
+  spec.seed = 23;
+  const TaskSet ts = workload::make_task_set(spec);
+
+  sim::SimConfig cfg;
+  cfg.mode = sim::ShareMode::kLockBased;
+  cfg.lock_access_time = usec(20);
+  cfg.horizon = horizon_of(ts, 30);
+  const sched::RuaScheduler rua(sched::Sharing::kLockBased,
+                                /*detect_deadlocks=*/true);
+  const sim::SimReport rep = expect_flat_identity(ts, cfg, rua);
+  EXPECT_GT(rep.total_blockings, 0);
+  EXPECT_GT(rep.deadlocks_resolved, 0);
+}
+
+TEST(CostModelFlatIdentity, PartitionedScopedObjectsOnTwoCpusBitIdentical) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 6;
+  spec.object_count = 2;
+  spec.accesses_per_job = 3;
+  spec.avg_exec = usec(300);
+  spec.load = 1.4;
+  spec.read_fraction = 0.2;
+  spec.seed = 33;
+  const TaskSet ts = workload::make_task_set(spec);
+
+  sim::SimConfig cfg;
+  cfg.mode = sim::ShareMode::kLockBased;
+  cfg.lockfree_access_time = usec(60);
+  cfg.lock_access_time = usec(50);
+  cfg.objects = {{ObjectKind::kQueue, ObjectImpl::kLockFree},
+                 {ObjectKind::kStack, ObjectImpl::kMcs}};
+  cfg.cpu_count = 2;
+  cfg.dispatch.placement.policy = sched::PlacementPolicy::kPartitioned;
+  cfg.dispatch.placement.task_affinity = {0, 1, 0, 1, 0, 1};
+  cfg.horizon = horizon_of(ts, 100);
+  const sched::RuaScheduler rua(sched::Sharing::kLockBased);
+  const sim::SimReport rep = expect_flat_identity(ts, cfg, rua);
+  EXPECT_GT(rep.total_retries, 0);
+  EXPECT_GT(rep.total_blockings, 0);
 }
 
 // ---- calibration cache schema --------------------------------------
@@ -161,23 +235,21 @@ std::string read_file() {
   return buf.str();
 }
 
-runtime::AccessCalibration calibrate_here(runtime::ExecConfig& cfg) {
+runtime::AccessCalibration calibrate_here() {
   workload::WorkloadSpec spec;
   spec.task_count = 2;
   spec.object_count = 2;
   const TaskSet ts = workload::make_task_set(spec);
   runtime::CalibrateOptions opts;
   opts.cache_path = kCachePath;
-  return runtime::calibrate(cfg, ts, kSamples, opts);
+  return runtime::calibrate(ts, kSamples, opts);
 }
 
 TEST(CalibrationCache, MalformedFileRecalibratesAndRewrites) {
   write_file("this is not json {{{");
-  runtime::ExecConfig cfg;
-  const runtime::AccessCalibration cal = calibrate_here(cfg);
+  const runtime::AccessCalibration cal = calibrate_here();
   EXPECT_FALSE(cal.from_cache);
-  EXPECT_TRUE(cal.model.enabled);
-  EXPECT_TRUE(cfg.sim_cost_model.enabled);
+  EXPECT_NE(cal.model, CostModel{});
   EXPECT_GE(cal.lockfree_access_time, 1);
   EXPECT_GE(cal.lock_access_time, 1);
 
@@ -192,28 +264,23 @@ TEST(CalibrationCache, PreZooFlatSchemaReadsAsMiss) {
   // treated exactly like a missing cache, then overwritten in v2.
   write_file(R"({"entries":[{"host":"anyhost","cpus":1,"samples":64,)"
              R"("lockfree_ns":123,"lock_ns":456}]})");
-  runtime::ExecConfig cfg;
-  const runtime::AccessCalibration cal = calibrate_here(cfg);
+  const runtime::AccessCalibration cal = calibrate_here();
   EXPECT_FALSE(cal.from_cache);
-  EXPECT_TRUE(cal.model.enabled);
+  EXPECT_NE(cal.model, CostModel{});
 
   // The rewrite is schema-current, so the very next calibrate hits.
-  runtime::ExecConfig cfg2;
-  const runtime::AccessCalibration cal2 = calibrate_here(cfg2);
+  const runtime::AccessCalibration cal2 = calibrate_here();
   EXPECT_TRUE(cal2.from_cache);
-  EXPECT_TRUE(cal2.model.enabled);
   EXPECT_EQ(cal2.model, cal.model);
   EXPECT_EQ(cal2.lockfree_access_time, cal.lockfree_access_time);
   EXPECT_EQ(cal2.lock_access_time, cal.lock_access_time);
-  EXPECT_EQ(cfg2.sim_cost_model, cal.model);
   std::remove(kCachePath);
 }
 
 TEST(CalibrationCache, SchemaCurrentEntryWithoutCellsIsAMiss) {
   // Seed a valid v2 cache, then strip the cell table: a hit requires
   // the *full* per-(kind, impl) model, not just the flat scalars.
-  runtime::ExecConfig cfg;
-  const runtime::AccessCalibration seeded = calibrate_here(cfg);
+  const runtime::AccessCalibration seeded = calibrate_here();
   ASSERT_FALSE(seeded.from_cache);
 
   std::string content = read_file();
@@ -224,10 +291,9 @@ TEST(CalibrationCache, SchemaCurrentEntryWithoutCellsIsAMiss) {
   content.erase(cells, end - cells + 1);
   write_file(content);
 
-  runtime::ExecConfig cfg2;
-  const runtime::AccessCalibration cal = calibrate_here(cfg2);
+  const runtime::AccessCalibration cal = calibrate_here();
   EXPECT_FALSE(cal.from_cache);
-  EXPECT_TRUE(cal.model.enabled);
+  EXPECT_NE(cal.model, CostModel{});
   std::remove(kCachePath);
 }
 
@@ -249,18 +315,15 @@ TEST(CalibrationCache, NoCacheLocationCalibratesUncachedWithoutFiles) {
   spec.task_count = 2;
   spec.object_count = 2;
   const TaskSet ts = workload::make_task_set(spec);
-  runtime::ExecConfig cfg;
   runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(cfg, ts, kSamples));
+  EXPECT_NO_THROW(cal = runtime::calibrate(ts, kSamples));
   EXPECT_FALSE(cal.from_cache);
-  EXPECT_TRUE(cal.model.enabled);
+  EXPECT_NE(cal.model, CostModel{});
   EXPECT_GE(cal.lockfree_access_time, 1);
 
   // Still uncached on the second call (nothing was persisted), and the
   // cwd stays clean.
-  runtime::ExecConfig cfg2;
-  const runtime::AccessCalibration cal2 = runtime::calibrate(cfg2, ts,
-                                                             kSamples);
+  const runtime::AccessCalibration cal2 = runtime::calibrate(ts, kSamples);
   EXPECT_FALSE(cal2.from_cache);
   EXPECT_FALSE(std::ifstream(".lfrt_calibration.json").good());
 
@@ -277,22 +340,19 @@ TEST(CalibrationCache, UnwritableCachePathStillCalibrates) {
   spec.task_count = 2;
   spec.object_count = 2;
   const TaskSet ts = workload::make_task_set(spec);
-  runtime::ExecConfig cfg;
   runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(cfg, ts, kSamples, opts));
+  EXPECT_NO_THROW(cal = runtime::calibrate(ts, kSamples, opts));
   EXPECT_FALSE(cal.from_cache);
-  EXPECT_TRUE(cal.model.enabled);
+  EXPECT_NE(cal.model, CostModel{});
   EXPECT_GE(cal.lock_access_time, 1);
 }
 
 TEST(CalibrationCache, SecondCalibrationHits) {
   std::remove(kCachePath);
-  runtime::ExecConfig cfg;
-  const runtime::AccessCalibration measured = calibrate_here(cfg);
+  const runtime::AccessCalibration measured = calibrate_here();
   EXPECT_FALSE(measured.from_cache);
 
-  runtime::ExecConfig cfg2;
-  const runtime::AccessCalibration cached = calibrate_here(cfg2);
+  const runtime::AccessCalibration cached = calibrate_here();
   EXPECT_TRUE(cached.from_cache);
   EXPECT_EQ(cached.model, measured.model);
   for (const ObjectKind kind : runtime::all_object_kinds())

@@ -2,7 +2,9 @@
 // RuaWorkspace and a ScheduleResult have been through one warm-up call
 // at a given job-count high-water mark, further build_into calls must
 // perform no heap allocations at all (RuaWorkspace documents the
-// contract; this test is the hook that keeps it honest).
+// contract; this test is the hook that keeps it honest).  The dispatch
+// selector that consumes each schedule is held to the same contract,
+// and its memory must not grow with the job ids it is handed.
 //
 // The counting operator new/delete overrides are process-global, which
 // is safe here because the binary runs single-threaded and gtest's own
@@ -15,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "sched/dispatch.hpp"
 #include "sched/rua.hpp"
 #include "tuf/tuf.hpp"
 
@@ -156,6 +159,47 @@ TEST(RuaAllocTest, ShrinkingJobCountStaysAllocationFree) {
   for (int c = 0; c < 10; ++c) rua.build_into(small.jobs, 0, ws.get(), out);
   g_counting.store(false);
   EXPECT_EQ(g_allocs.load(), 0);
+}
+
+TEST(DispatchSelectorAllocTest, SelectOverGrowingIdsAllocatesNothing) {
+  // A long-running service admits jobs with ever-larger ids.  After one
+  // warm-up selection, select must not allocate however large the ids
+  // (and id_limit) grow: its scratch is bounded by cpu_count.
+  constexpr int kCpus = 4;
+  sched::DispatchSelector selector;
+  ScheduleResult res;
+  res.schedule.assign(8, kNoJob);
+  const std::vector<JobId> front;
+  const auto eligible = [](JobId) { return true; };
+  const auto task_of = [](JobId id) { return static_cast<TaskId>(id % 4); };
+  const auto fill = [&](JobId base) {
+    for (std::size_t i = 0; i < res.schedule.size(); ++i)
+      res.schedule[i] = base + static_cast<JobId>(i);
+    res.dispatch = base + 1;
+  };
+  fill(0);
+  selector.select(front, res, kCpus, res.schedule.size(), eligible, task_of);
+
+  std::vector<JobId> last;
+  last.reserve(kCpus);
+  JobId last_base = 0;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (JobId base = 1 << 10; base <= (1 << 20); base *= 2) {
+    fill(base);
+    const auto& targets =
+        selector.select(front, res, kCpus,
+                        static_cast<std::size_t>(base) + res.schedule.size(),
+                        eligible, task_of);
+    last.assign(targets.begin(), targets.end());
+    last_base = base;
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocs.load(), 0);
+  // The last pass picked the dispatch nomination, then the schedule in
+  // order without repeating it.
+  const JobId b = last_base;
+  EXPECT_EQ(last, (std::vector<JobId>{b + 1, b, b + 2, b + 3}));
 }
 
 }  // namespace

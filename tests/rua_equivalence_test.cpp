@@ -6,7 +6,9 @@
 // forests, and deadlock cycles.  Lock-based views with no blocked job
 // and with exactly one are generated on purpose: they sit on either
 // side of the optimized scheduler's switch between the chain-free path
-// and the dependency-chain path.
+// and the dependency-chain path.  Two fixed views at n = 64 and 256 —
+// independent jobs and one long chain — cover the job counts the
+// random sweep does not reach.
 //
 // One workspace and one ScheduleResult are reused across every
 // iteration, so the sweep also stresses the capacity-retention
@@ -179,6 +181,48 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RuaEquivalenceTest,
                          ::testing::Values(1u, 42u, 1234u, 987654321u));
+
+/// n pending jobs with staggered step TUFs; `chained` links each job to
+/// the next in one long dependency chain (the lock-based worst case of
+/// Section 3.6).
+std::vector<SchedJob> make_bench_view(int n, bool chained,
+                                      std::vector<std::unique_ptr<Tuf>>& tufs) {
+  std::vector<SchedJob> jobs;
+  for (int i = 0; i < n; ++i) {
+    tufs.push_back(make_step_tuf(10.0 + i % 7, msec(100) + usec(13 * i)));
+    SchedJob j;
+    j.id = i;
+    j.arrival = 0;
+    j.critical = tufs.back()->critical_time();
+    j.remaining = usec(50);
+    j.tuf = tufs.back().get();
+    j.waits_on = chained && i + 1 < n ? i + 1 : kNoJob;
+    jobs.push_back(j);
+  }
+  return jobs;
+}
+
+TEST(RuaEquivalenceAtScale, FlatAndChainedViewsMatchReference) {
+  // The random sweep above stops at n = 24; these views reach the job
+  // counts the scheduler is timed at, in both regimes the paper
+  // compares: lock-free RUA over independent jobs and lock-based RUA
+  // over one long chain.
+  const RuaScheduler opt_lf(Sharing::kLockFree);
+  const RuaScheduler opt_lb(Sharing::kLockBased);
+  const RuaReferenceScheduler ref_lf(Sharing::kLockFree);
+  const RuaReferenceScheduler ref_lb(Sharing::kLockBased);
+  const auto ws = opt_lf.make_workspace();
+  ScheduleResult opt_out;
+  for (const int n : {64, 256}) {
+    std::vector<std::unique_ptr<Tuf>> tufs;
+    const std::vector<SchedJob> flat = make_bench_view(n, false, tufs);
+    const std::vector<SchedJob> chain = make_bench_view(n, true, tufs);
+    opt_lf.build_into(flat, 0, ws.get(), opt_out);
+    expect_identical(ref_lf.build(flat, 0), opt_out, 0, n);
+    opt_lb.build_into(chain, 0, ws.get(), opt_out);
+    expect_identical(ref_lb.build(chain, 0), opt_out, 0, n);
+  }
+}
 
 }  // namespace
 }  // namespace lfrt

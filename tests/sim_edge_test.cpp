@@ -201,5 +201,43 @@ TEST(SimEdge, InvalidConfigsRejected) {
   }
 }
 
+TEST(SimEdge, ZeroLockAccessTimeRejectedWhenItPricesAccesses) {
+  // A zero r would be priced as a 1 ns critical section; with no cost
+  // table the scalar prices every lock-based access, so it must be
+  // positive, exactly like s under lock-free sharing.
+  TaskSet ts;
+  ts.object_count = 1;
+  ts.tasks.push_back(tiny(0, usec(5), usec(100), {{0, usec(1), true}}));
+  const sched::EdfScheduler edf;
+  SimConfig cfg;
+  cfg.mode = ShareMode::kLockBased;
+  cfg.lock_access_time = 0;
+  EXPECT_THROW(Simulator(ts, edf, cfg), InvariantViolation);
+  cfg.lock_access_time = -1;
+  EXPECT_THROW(Simulator(ts, edf, cfg), InvariantViolation);
+  // The ideal yardstick prices nothing, so the scalar goes unread.
+  cfg.mode = ShareMode::kIdeal;
+  EXPECT_NO_THROW(Simulator(ts, edf, cfg));
+}
+
+TEST(SimEdge, ScalarsUncheckedWhenACostTableIsGiven) {
+  // A table prices every access; the scalars next to it are unused and
+  // therefore not validated.
+  TaskSet ts;
+  ts.object_count = 1;
+  ts.tasks.push_back(tiny(0, usec(5), usec(100), {{0, usec(1), true}}));
+  const sched::EdfScheduler edf;
+  SimConfig cfg;
+  cfg.mode = ShareMode::kLockFree;
+  cfg.lockfree_access_time = 0;
+  cfg.lock_access_time = 0;
+  cfg.cost_model = runtime::CostModel::flat(usec(2), usec(3));
+  Simulator sim(ts, edf, cfg);
+  sim.set_arrivals(0, {0});
+  const auto rep = sim.run();
+  EXPECT_EQ(rep.completed, 1);
+  EXPECT_EQ(rep.jobs[0].completion, usec(5) + usec(2));
+}
+
 }  // namespace
 }  // namespace lfrt

@@ -322,10 +322,10 @@ TEST(SimPin, MixedUniverseCostModelTwoCpus) {
                  {ObjectKind::kSnapshot, ObjectImpl::kLockFree},
                  {ObjectKind::kQueue, ObjectImpl::kMcs},
                  {ObjectKind::kStack, ObjectImpl::kTicket}};
-  cfg.cost_model.enabled = true;
+  cfg.cost_model.emplace();
   for (ObjectKind kind : runtime::all_object_kinds()) {
     for (ObjectImpl impl : runtime::all_object_impls()) {
-      auto& c = cfg.cost_model.at(kind, impl);
+      auto& c = cfg.cost_model->at(kind, impl);
       const bool lf = impl == ObjectImpl::kLockFree;
       c.base = lf ? usec(15) : usec(25);
       c.per_contender = impl == ObjectImpl::kTicket ? usec(8)
