@@ -29,8 +29,8 @@
 #   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
 #      objects × tasks contention matrix for every kind × impl combo,
 #      a shard_adaptive smoke (adaptive-sharding invariants live), and
-#      a 3 s perfbench sim-sweep whose exit code carries the
-#      benchmark's correctness gates.
+#      two 3 s perfbench sim-sweep runs (seeds 1 and 7) whose exit
+#      codes carry the benchmark's correctness gates.
 #
 # Stages 1 and 2 also run the cross-substrate validation bench
 # (ext_executor_validation --tiny): real executor runs under each
@@ -117,7 +117,8 @@ echo "$PLACE_OUT" | grep -q 'placement_sweep: all checks ok'
 # Perfbench gates: perfbench/ builds src/ from this checkout (Release,
 # into .bench_build/ or $CARGO_TARGET_DIR) and a short sim-sweep exits
 # non-zero unless the frozen-reference RUA replay, the Theorem 2 retry
-# bound and the every-cell-ran-jobs gates hold.  svc-overload stays
-# out: it runs 4 busy threads.
+# bound and the every-cell-ran-jobs gates hold; seed 7 replays a second
+# arrival tape.  svc-overload stays out: it runs 4 busy threads.
 python3 perfbench/run.py --workload sim-sweep --seed 1 --seconds 3 --trace 0
+python3 perfbench/run.py --workload sim-sweep --seed 7 --seconds 3 --trace 0
 echo "OK: ASan+TSan clean, tier-1 green twice, bench smokes passed"

@@ -279,7 +279,7 @@ struct Executor::Impl {
     r->acct.arrival = arrival;
     r->acct.critical_abs = arrival + r->spec.tuf->critical_time();
     ++report.submitted;
-    report.max_possible_utility += r->spec.tuf->utility(0);
+    report.max_possible_utility += r->spec.tuf->max_utility();
     live.emplace(id, r);
     report.peak_live_records = std::max(
         report.peak_live_records, static_cast<std::int64_t>(live.size()));
@@ -401,7 +401,7 @@ struct Executor::Impl {
             // Shed: accrues zero but still weighs in the denominator —
             // rejecting is an abort-at-admission, not a free pass.
             ++report.rejected;
-            report.max_possible_utility += e.job.tuf->utility(0);
+            report.max_possible_utility += e.job.tuf->max_utility();
             e.job = RtJob{};
             continue;
           }

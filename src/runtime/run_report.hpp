@@ -29,9 +29,9 @@ struct RunReport {
   std::int64_t aborted = 0;    ///< critical time expired first
 
   double accrued_utility = 0.0;
-  double max_possible_utility = 0.0;  ///< sum of U_i(0) over counted jobs
-                                      ///< (the abort model: an aborted
-                                      ///< job accrues zero)
+  double max_possible_utility = 0.0;  ///< sum of max_utility() over
+                                      ///< counted jobs (an aborted job
+                                      ///< accrues zero)
 
   /// Accrued utility ratio (paper, Section 5): accrued / max possible.
   double aur() const {
@@ -60,7 +60,7 @@ struct RunReport {
   // --- service-mode admission + ingest accounting (PR 7) ---
   // Jobs arriving through ingest lanes pass an admission filter before
   // they become submissions.  A rejected job never runs: it accrues
-  // zero utility but its U(0) still counts toward max_possible_utility
+  // zero utility but its max_utility() still counts toward the maximum
   // (shedding load is an abort-at-admission, not a free pass), and it
   // counts in counted_jobs: counted_jobs == submitted + rejected on the
   // executor.  A degraded job runs under a renegotiated (cheaper) TUF

@@ -41,13 +41,11 @@ enum class EvKind : std::uint8_t { kMilestone, kExpiry, kArrival, kController };
 
 struct Event {
   Time t = 0;
-  int prio = 0;  // milestone 0 < expiry 1 < arrival 2 at equal time
+  int prio = 0;  // milestone/controller 0 < expiry 1 < arrival 2 at equal time
   std::int64_t seq = 0;
   EvKind kind = EvKind::kArrival;
   JobId job = kNoJob;     // milestone/expiry target
   TaskId task = -1;       // arrival target
-  std::int64_t epoch = 0; // milestone validity stamp
-  MsKind ms = MsKind::kCompletion;
 };
 
 struct EventLater {
@@ -56,6 +54,11 @@ struct EventLater {
     if (a.prio != b.prio) return a.prio > b.prio;
     return a.seq > b.seq;
   }
+};
+
+struct Milestone {
+  Event ev{kTimeNever, 0, 0, EvKind::kMilestone};
+  MsKind ms = MsKind::kCompletion;
 };
 
 }  // namespace
@@ -109,7 +112,9 @@ struct Simulator::Impl {
   std::vector<JobId> alive;
   std::vector<JobId> running_on;    // per CPU: job or kNoJob
   std::vector<Time> run_start_on;   // per CPU: instant its job (re)starts
-  std::int64_t epoch = 0;
+  // Per CPU: its job's next milestone (t = kTimeNever if none), not in q.
+  std::vector<Milestone> milestone_on;
+  Time superseded_sync = 0;  // latest superseded milestone <= horizon
   Time last_sync = 0;
   Time cpu_free_at = 0;  // when pending scheduler overhead drains
   // Per-(object, instance) holder set (multi-unit resources: capacity
@@ -178,6 +183,7 @@ struct Simulator::Impl {
       : tasks(std::move(ts)), scheduler(&sch), cfg(c) {
     tasks.validate();
     LFRT_CHECK_MSG(cfg.cpu_count >= 1, "need at least one CPU");
+    LFRT_CHECK_MSG(cfg.horizon < kTimeNever, "horizon must be finite");
     for (const auto& t : tasks.tasks) {
       if (t.nested())
         LFRT_CHECK_MSG(cfg.mode == ShareMode::kLockBased,
@@ -230,6 +236,7 @@ struct Simulator::Impl {
     selector.set_options(cfg.dispatch);
     running_on.assign(static_cast<std::size_t>(cfg.cpu_count), kNoJob);
     run_start_on.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
+    milestone_on.assign(static_cast<std::size_t>(cfg.cpu_count), {});
     holders.assign(static_cast<std::size_t>(tasks.object_count) *
                        static_cast<std::size_t>(runtime::kMaxObjectShards),
                    {});
@@ -574,18 +581,23 @@ struct Simulator::Impl {
 
   // ---- dispatching ----------------------------------------------------
 
-  /// Invalidate all pending milestones and re-post one per running job.
+  /// Re-post each CPU's milestone slot.  A superseded milestone at t <=
+  /// horizon still counts and is synced to, as the heap once popped it.
   void repost_milestones() {
-    ++epoch;
     for (int c = 0; c < cfg.cpu_count; ++c) {
+      Milestone& m = milestone_on[static_cast<std::size_t>(c)];
+      if (m.ev.t <= cfg.horizon) {
+        ++report.events_processed;
+        superseded_sync = std::max(superseded_sync, m.ev.t);
+      }
+      m.ev.t = kTimeNever;
       const JobId id = running_on[static_cast<std::size_t>(c)];
       if (id == kNoJob) continue;
-      const Job& j = job(id);
       const Time base =
           std::max(now, run_start_on[static_cast<std::size_t>(c)]);
-      const auto [delta, kind] = next_milestone(j);
-      q.push(Event{base + delta, 0, next_seq++, EvKind::kMilestone, id, -1,
-                   epoch, kind});
+      const auto [delta, kind] = next_milestone(job(id));
+      m.ev = Event{base + delta, 0, next_seq++, EvKind::kMilestone, id};
+      m.ms = kind;
     }
   }
 
@@ -676,29 +688,30 @@ struct Simulator::Impl {
 
     cpu_free_at = std::max(cpu_free_at, now) + overhead;
 
+    // Vacate before filling, so a migrating job's old CPU cannot unbind it.
+    for (int c = 0; c < cfg.cpu_count; ++c) {
+      const JobId prev = running_on[static_cast<std::size_t>(c)];
+      if (prev == kNoJob || prev == next[static_cast<std::size_t>(c)])
+        continue;  // sticky: run_start unchanged
+      Job& pj = job(prev);
+      clear_cpu(c);
+      if (!pj.finished() && pj.state != JobState::kBlocked) {
+        if (pj.state == JobState::kRunning) pj.state = JobState::kReady;
+        ++pj.preemptions;
+        ++report.total_preemptions;
+      }
+    }
     for (int c = 0; c < cfg.cpu_count; ++c) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      const JobId prev = running_on[ci];
       const JobId target = next[ci];
-      if (prev == target) continue;  // sticky: run_start unchanged
-      if (prev != kNoJob) {
-        Job& pj = job(prev);
-        job_cpu[static_cast<std::size_t>(prev)] = -1;
-        if (!pj.finished() && pj.state != JobState::kBlocked) {
-          if (pj.state == JobState::kRunning) pj.state = JobState::kReady;
-          ++pj.preemptions;
-          ++report.total_preemptions;
-        }
-      }
+      if (target == kNoJob || running_on[ci] == target) continue;
+      Job& j = job(target);
       running_on[ci] = target;
-      if (target != kNoJob) {
-        Job& j = job(target);
-        job_cpu[static_cast<std::size_t>(target)] = c;
-        if (j.state != JobState::kAborting) j.state = JobState::kRunning;
-        run_start_on[ci] = cpu_free_at;
-        ++report.dispatches;
-        ++report.cpu_jobs[ci];
-      }
+      job_cpu[static_cast<std::size_t>(target)] = c;
+      if (j.state != JobState::kAborting) j.state = JobState::kRunning;
+      run_start_on[ci] = cpu_free_at;
+      ++report.dispatches;
+      ++report.cpu_jobs[ci];
     }
     repost_milestones();
   }
@@ -721,8 +734,7 @@ struct Simulator::Impl {
           1, static_cast<Time>(static_cast<double>(p.exec_time) * f));
     }
     trace("arrival task=", task_id, " job=", j.id);
-    q.push(Event{j.critical_abs, 1, next_seq++, EvKind::kExpiry, j.id, -1,
-                 0, MsKind::kCompletion});
+    q.push(Event{j.critical_abs, 1, next_seq++, EvKind::kExpiry, j.id});
     alive.push_back(j.id);
     LFRT_CHECK(j.id == static_cast<JobId>(jobs.size()));
     jobs.push_back(j);
@@ -843,12 +855,12 @@ struct Simulator::Impl {
     reschedule();
   }
 
-  void handle_milestone(const Event& e) {
-    if (e.epoch != epoch || cpu_of(e.job) < 0) return;  // stale
-    Job& j = job(e.job);
+  void handle_milestone(JobId id, MsKind ms) {
+    LFRT_CHECK(cpu_of(id) >= 0);
+    Job& j = job(id);
     const TaskParams& p = params_of(j);
 
-    switch (e.ms) {
+    switch (ms) {
       case MsKind::kAccessStart: {
         LFRT_CHECK(j.next_access < p.accesses.size());
         const ObjectId obj = p.accesses[j.next_access].object;
@@ -1060,7 +1072,7 @@ struct Simulator::Impl {
     }
     if (now + cfg.controller.epoch <= cfg.horizon)
       q.push(Event{now + cfg.controller.epoch, 0, next_seq++,
-                   EvKind::kController, kNoJob, -1, 0, MsKind::kCompletion});
+                   EvKind::kController});
     reschedule();
   }
 
@@ -1082,7 +1094,7 @@ struct Simulator::Impl {
     if (st.next == st.times->size()) return;
     q.push(Event{(*st.times)[st.next], 2,
                  st.seq_base + static_cast<std::int64_t>(st.next),
-                 EvKind::kArrival, kNoJob, task, 0, MsKind::kCompletion});
+                 EvKind::kArrival, kNoJob, task});
     ++st.next;
   }
 
@@ -1111,13 +1123,20 @@ struct Simulator::Impl {
     held_inst_.reserve(total_arrivals);
 
     if (controller)
-      q.push(Event{cfg.controller.epoch, 0, next_seq++, EvKind::kController,
-                   kNoJob, -1, 0, MsKind::kCompletion});
+      q.push(Event{cfg.controller.epoch, 0, next_seq++, EvKind::kController});
 
-    while (!q.empty()) {
-      const Event e = q.top();
-      q.pop();
+    const EventLater later;  // heap top or earliest slot, in heap order
+    for (;;) {
+      Milestone* m = &milestone_on.front();
+      for (Milestone& slot : milestone_on)
+        if (later(m->ev, slot.ev)) m = &slot;
+      const bool from_slot = q.empty() || later(q.top(), m->ev);
+      const Event e = from_slot ? m->ev : q.top();
       if (e.t > cfg.horizon) break;
+      if (from_slot)
+        m->ev.t = kTimeNever;
+      else
+        q.pop();
       ++report.events_processed;
       sync_progress(e.t);
       now = e.t;
@@ -1130,13 +1149,14 @@ struct Simulator::Impl {
           handle_expiry(e.job);
           break;
         case EvKind::kMilestone:
-          handle_milestone(e);
+          handle_milestone(e.job, m->ms);
           break;
         case EvKind::kController:
           handle_controller();
           break;
       }
     }
+    sync_progress(superseded_sync);
 
     finalize();
     return std::move(report);
@@ -1147,7 +1167,7 @@ struct Simulator::Impl {
       const TaskParams& p = params_of(j);
       if (j.critical_abs <= cfg.horizon) {
         ++report.counted_jobs;
-        report.max_possible_utility += p.tuf->utility(0);
+        report.max_possible_utility += p.tuf->max_utility();
         if (j.state == JobState::kCompleted) {
           ++report.completed;
           report.accrued_utility += p.tuf->utility(j.sojourn());

@@ -151,9 +151,9 @@ struct SimConfig {
 struct SimReport : runtime::RunReport {
   Time sched_overhead = 0;  ///< total CPU time charged to the scheduler
 
-  /// Discrete events consumed from the queue (arrivals, expiries,
-  /// milestones) — the denominator for per-event cost measurements
-  /// (perfbench's sim.ns_per_event layers).
+  /// Discrete events consumed, plus milestones superseded at t <= horizon
+  /// (the heap that used to hold milestones popped them) — the
+  /// denominator for perfbench's sim.ns_per_event layers.
   std::int64_t events_processed = 0;
 
   std::int64_t deadlocks_resolved = 0;  ///< cycle victims aborted (nested)

@@ -3,6 +3,9 @@
 // cover.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sched/edf.hpp"
 #include "sched/rua.hpp"
 #include "sim/simulator.hpp"
@@ -199,6 +202,11 @@ TEST(SimEdge, InvalidConfigsRejected) {
     cfg.lockfree_access_time = 0;
     EXPECT_THROW(Simulator(ts, edf, cfg), InvariantViolation);
   }
+  {
+    SimConfig cfg;  // kTimeNever marks an empty milestone slot
+    cfg.horizon = kTimeNever;
+    EXPECT_THROW(Simulator(ts, edf, cfg), InvariantViolation);
+  }
 }
 
 TEST(SimEdge, ZeroLockAccessTimeRejectedWhenItPricesAccesses) {
@@ -237,6 +245,59 @@ TEST(SimEdge, ScalarsUncheckedWhenACostTableIsGiven) {
   const auto rep = sim.run();
   EXPECT_EQ(rep.completed, 1);
   EXPECT_EQ(rep.jobs[0].completion, usec(5) + usec(2));
+}
+
+TEST(SimEdge, EqualTimeEventsRunMilestonesThenExpiryThenArrival) {
+  // At t = 100us both CPUs' jobs complete, a job RUA never dispatched
+  // reaches its critical time, and a new job arrives.  The milestones
+  // run first, in the order their CPUs posted them (seq), then the
+  // expiry, then the arrival.
+  TaskSet ts;
+  ts.object_count = 0;
+  ts.tasks.push_back(tiny(0, usec(100), usec(400)));
+  ts.tasks.push_back(tiny(1, usec(90), usec(400)));
+  ts.tasks.push_back(tiny(2, usec(300), usec(80)));  // hopeless: rejected
+  ts.tasks.push_back(tiny(3, usec(10), usec(400)));
+  const sched::RuaScheduler rua(sched::Sharing::kLockFree);
+  SimConfig cfg;
+  cfg.mode = ShareMode::kIdeal;
+  cfg.cpu_count = 2;
+  cfg.record_trace = true;
+  cfg.horizon = msec(1);
+  Simulator sim(ts, rua, cfg);
+  sim.set_arrivals(0, {0});
+  sim.set_arrivals(1, {usec(10)});
+  sim.set_arrivals(2, {usec(20)});
+  sim.set_arrivals(3, {usec(100)});
+  const auto rep = sim.run();
+  std::vector<std::string> at_tie;
+  for (const auto& line : rep.trace)
+    if (line.rfind("[100000] ", 0) == 0) at_tie.push_back(line);
+  const std::vector<std::string> want = {
+      "[100000] completion job=0", "[100000] completion job=1",
+      "[100000] abort-exception job=2", "[100000] arrival task=3 job=3"};
+  EXPECT_EQ(at_tie, want);
+}
+
+TEST(SimEdge, ProgressRunsToTheLastSupersededMilestone) {
+  // Job 0 would complete at 150us, but job 1 preempts it at 120us and
+  // runs past the 200us horizon.  The superseded completion milestone
+  // at 150us still counts as an event, and busy time runs up to it.
+  TaskSet ts;
+  ts.object_count = 0;
+  ts.tasks.push_back(tiny(0, usec(150), usec(1000)));
+  ts.tasks.push_back(tiny(1, usec(200), usec(300)));
+  const sched::EdfScheduler edf;
+  SimConfig cfg;
+  cfg.mode = ShareMode::kIdeal;
+  cfg.horizon = usec(200);
+  Simulator sim(ts, edf, cfg);
+  sim.set_arrivals(0, {0});
+  sim.set_arrivals(1, {usec(120)});
+  const auto rep = sim.run();
+  EXPECT_EQ(rep.events_processed, 3);
+  EXPECT_EQ(rep.cpu_busy[0], usec(150));
+  EXPECT_EQ(rep.jobs[1].compute_done, usec(30));
 }
 
 }  // namespace

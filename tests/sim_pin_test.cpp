@@ -14,10 +14,14 @@
 // terminal jobs is not part of the pinned behaviour).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "runtime/cost_model.hpp"
+#include "runtime/object_spec.hpp"
 #include "sched/edf.hpp"
+#include "sched/placement.hpp"
 #include "sched/rua.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
@@ -347,6 +351,186 @@ TEST(SimPin, MixedUniverseCostModelTwoCpus) {
             EventFingerprint{{370, 304, 66, 26, 11, 121, 1123, 60869, 1, 375,
                               118433341, 0.86799029213427537},
                              5889, 5211325072361689744u});
+}
+
+// The pins below were captured before milestones moved out of the event
+// heap into per-CPU slots.  They cover the shapes the pins above miss:
+// perfbench's sim-sweep cell, controller epochs with shard decisions and
+// placement moves, and abort handlers with execution slices.
+
+/// One sim-sweep cell (perfbench/sim_sweep.cpp): 10 tasks x 10 objects,
+/// heterogeneous TUFs, every job touching every object, arrivals drawn
+/// from `arrival_seed` with perfbench's per-task mix.
+sim::SimReport run_sweep_cell(double load, bool lock_free,
+                              std::uint64_t arrival_seed) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 10;
+  spec.object_count = 10;
+  spec.accesses_per_job = 10;
+  spec.avg_exec = usec(500);
+  spec.load = load;
+  spec.tuf_class = workload::TufClass::kHeterogeneous;
+  spec.seed = 2006;
+  const TaskSet ts = workload::make_task_set(spec);
+
+  sim::SimConfig cfg;
+  cfg.mode = lock_free ? sim::ShareMode::kLockFree : sim::ShareMode::kLockBased;
+  cfg.lockfree_access_time = nsec(500);
+  cfg.lock_access_time = usec(50);
+  cfg.sched_ns_per_op = 5.0;
+  cfg.horizon = max_window(ts) * 100;
+  const sched::RuaScheduler rua(lock_free ? sched::Sharing::kLockFree
+                                          : sched::Sharing::kLockBased);
+  sim::Simulator s(ts, rua, cfg);
+  for (const auto& t : ts.tasks) {
+    Rng rng(arrival_seed ^
+            (0xA5A5A5A5ULL * static_cast<std::uint64_t>(t.id + 1)));
+    s.set_arrivals(t.id,
+                   arrivals::periodic_phased(t.arrival, cfg.horizon, rng));
+  }
+  return s.run();
+}
+
+// perfbench's first pass at --seed 1 draws arrival seed 1000003.
+TEST(SimPin, SweepCellLockFreeLowLoad) {
+  expect_eq(event_fingerprint(run_sweep_cell(0.4, true, 1000003)),
+            EventFingerprint{{1782, 1782, 0, 4, 0, 401, 3584, 26463, 0, 1792,
+                              1003510761, 0.98745489089787342},
+                             41859, 4304793104485210563u});
+}
+
+TEST(SimPin, SweepCellLockBasedLowLoad) {
+  expect_eq(event_fingerprint(run_sweep_cell(0.4, false, 1000003)),
+            EventFingerprint{{1782, 1782, 0, 0, 235, 912, 39627, 956479, 0,
+                              1792, 3551940555, 0.95068119076856972},
+                             42837, 4304793104485210563u});
+}
+
+TEST(SimPin, SweepCellLockFreeOverload) {
+  expect_eq(event_fingerprint(run_sweep_cell(1.6, true, 1000003)),
+            EventFingerprint{{1783, 1169, 614, 0, 0, 79, 3579, 531598, 0, 1793,
+                              2147778858, 0.5874727404151896},
+                             30755, 5003275927698279939u});
+}
+
+TEST(SimPin, SweepCellLockBasedOverload) {
+  expect_eq(event_fingerprint(run_sweep_cell(1.6, false, 1000003)),
+            EventFingerprint{{1783, 520, 1263, 0, 63, 198, 14464, 2144332, 0,
+                              1793, 832093104, 0.33382358332793882},
+                             18039, 5003275927698279939u});
+}
+
+/// Four CPUs in two clusters, lock-free queues that adapt their shard
+/// count, and a controller that also moves tasks between clusters: the
+/// kController epochs interleave with milestones at equal priority.
+/// Placement moves migrate jobs between CPUs; before dispatch vacated
+/// every CPU ahead of filling any, a job moving to a lower-numbered CPU
+/// was unbound by its old one and this run tripped an invariant.
+TEST(SimPin, ControllerEpochsFourCpus) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 8;
+  spec.object_count = 2;
+  spec.accesses_per_job = 10;
+  spec.avg_exec = usec(200);
+  spec.load = 3.0;
+  spec.tuf_class = workload::TufClass::kStep;
+  spec.seed = 9;
+  const TaskSet ts = workload::make_task_set(spec);
+
+  sim::SimConfig cfg;
+  cfg.mode = sim::ShareMode::kLockFree;
+  cfg.objects = runtime::uniform_objects(ts.object_count,
+                                         runtime::ObjectKind::kQueue,
+                                         runtime::ObjectImpl::kLockFree);
+  for (auto& o : cfg.objects) o.adapt = true;
+  cfg.cost_model.emplace(runtime::CostModel::flat(usec(10), usec(10)));
+  cfg.sched_ns_per_op = 5.0;
+  cfg.controller.epoch = usec(500);
+  cfg.controller.min_epoch_ops = 16;
+  cfg.controller.promote_rate = 0.02;
+  cfg.controller.steer_min_retries = 1;
+  cfg.controller.place = true;
+  cfg.dispatch.placement.policy = sched::PlacementPolicy::kClustered;
+  cfg.dispatch.placement.cpu_cluster = {0, 0, 1, 1};
+  cfg.dispatch.placement.task_affinity = {0, 0, 0, 0, 0, 0, 1, 1};
+  cfg.dispatch.placement.scope_objects = false;
+  cfg.cpu_count = 4;
+  cfg.horizon = max_window(ts) * 6;
+  const sched::RuaScheduler rua(sched::Sharing::kLockFree);
+  sim::Simulator s(ts, rua, cfg);
+  s.seed_arrivals(3000);
+  const sim::SimReport r = s.run();
+  EXPECT_EQ(r.controller_epochs, 8);
+  EXPECT_EQ(r.shard_decisions.size(), 3u);
+  EXPECT_EQ(r.placement_moves.size(), 28u);
+  expect_eq(event_fingerprint(r),
+            EventFingerprint{{51, 21, 30, 25, 0, 15, 115, 5452, 0, 56, 6177173,
+                              0.49299111308860588},
+                             1119, 17788284834513527258u});
+}
+
+/// FNV-1a over every execution slice and each CPU's busy time.  Slices
+/// are digested in their merged per-CPU form: contiguous stretches of
+/// one job on one CPU count as one, however many events cut them.
+std::uint64_t slice_digest(const sim::SimReport& r) {
+  std::vector<sim::SimReport::ExecSlice> merged;
+  std::vector<std::size_t> last(r.cpu_busy.size(), SIZE_MAX);
+  for (const auto& s : r.slices) {
+    std::size_t& k = last[static_cast<std::size_t>(s.cpu)];
+    if (k != SIZE_MAX && merged[k].job == s.job && merged[k].end == s.begin) {
+      merged[k].end = s.end;
+      continue;
+    }
+    k = merged.size();
+    merged.push_back(s);
+  }
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ULL;
+  };
+  for (const auto& s : merged)
+    for (std::int64_t v : {std::int64_t{s.job}, std::int64_t{s.task},
+                           std::int64_t{s.cpu}, s.begin, s.end})
+      add(v);
+  for (Time busy : r.cpu_busy) add(busy);
+  return h;
+}
+
+/// Two CPUs, lock-based sharing and abort handlers that hold the CPU
+/// after an expiry (kHandlerEnd milestones), with execution slices on.
+TEST(SimPin, AbortHandlersTwoCpusSlices) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 6;
+  spec.object_count = 3;
+  spec.accesses_per_job = 2;
+  spec.avg_exec = usec(300);
+  spec.load = 2.5;
+  spec.tuf_class = workload::TufClass::kHeterogeneous;
+  spec.seed = 31;
+  TaskSet ts = workload::make_task_set(spec);
+  for (auto& t : ts.tasks) {
+    t.abort_handler_time = usec(40);
+    t.exec_variation = 0.2;
+  }
+
+  sim::SimConfig cfg;
+  cfg.mode = sim::ShareMode::kLockBased;
+  cfg.lock_access_time = usec(30);
+  cfg.sched_ns_per_op = 5.0;
+  cfg.horizon = max_window(ts) * 30;
+  cfg.cpu_count = 2;
+  cfg.record_slices = true;
+  const sched::RuaScheduler rua(sched::Sharing::kLockBased);
+  sim::Simulator s(ts, rua, cfg);
+  s.seed_arrivals(61);
+  const sim::SimReport r = s.run();
+  expect_eq(event_fingerprint(r),
+            EventFingerprint{{154, 131, 23, 0, 18, 74, 893, 26766, 0, 159,
+                              54125411, 0.66928368991515719},
+                             1887, 16912565295044649046u});
+  EXPECT_FALSE(r.slices.empty());
+  EXPECT_EQ(slice_digest(r), 12872688895543679454u);
 }
 
 }  // namespace

@@ -131,6 +131,29 @@ TEST(Sim, ExpiredJobIsAbortedWithZeroUtility) {
   EXPECT_EQ(job_of_task(rep, 0).state, JobState::kAborted);
 }
 
+TEST(Sim, IncreasingTufCountsItsPeakAsMaxPossibleUtility) {
+  // A ramp TUF is worth 0 at release and peaks at its critical time, so
+  // the AUR denominator must take the peak, not U(0).
+  TaskSet ts;
+  ts.object_count = 0;
+  TaskParams p = simple_task(0, usec(200), msec(1));
+  p.tuf = make_ramp_tuf(10.0, msec(1));
+  ts.tasks.push_back(std::move(p));
+  const sched::RuaScheduler rua(sched::Sharing::kLockFree);
+  SimConfig cfg;
+  cfg.mode = ShareMode::kLockFree;
+  cfg.horizon = msec(20);
+  Simulator sim(std::move(ts), rua, cfg);
+  sim.seed_arrivals(4);
+  const SimReport rep = sim.run();
+  ASSERT_GT(rep.counted_jobs, 0);
+  EXPECT_EQ(rep.completed, rep.counted_jobs);
+  EXPECT_DOUBLE_EQ(rep.max_possible_utility,
+                   10.0 * static_cast<double>(rep.counted_jobs));
+  EXPECT_GT(rep.aur(), 0.0);
+  EXPECT_LE(rep.aur(), 1.0);
+}
+
 TEST(Sim, CompletionExactlyAtCriticalTimeCounts) {
   TaskSet ts;
   ts.object_count = 0;
