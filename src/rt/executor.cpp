@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,27 +12,13 @@
 #include "runtime/latency_histogram.hpp"
 #include "runtime/object_stats.hpp"
 #include "runtime/timer_wheel.hpp"
-#include "sched/dispatch.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/scheduling_pass.hpp"
 #include "support/check.hpp"
 
 namespace lfrt::rt {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-enum class RtState : std::uint8_t {
-  kReady,      // admitted, waiting for its first dispatch
-  kRunning,    // dispatched to a CPU slot (its worker owns that CPU)
-  kPreempted,  // parked inside checkpoint()
-  kAborting,   // abort requested; body will throw at its next checkpoint
-  kCompleted,
-  kAborted,
-};
-
-bool terminal(RtState s) {
-  return s == RtState::kCompleted || s == RtState::kAborted;
-}
 
 void validate(const RtJob& job) {
   LFRT_CHECK_MSG(job.tuf != nullptr, "job needs a TUF");
@@ -58,8 +43,6 @@ struct Executor::Impl {
     JobRec* assigned = nullptr;  // under mu; non-null = has work
   };
 
-  const sched::Scheduler* scheduler;
-  const int cpu_count;
   const ExecutorConfig cfg;
   Clock::time_point epoch = Clock::now();
 
@@ -70,11 +53,13 @@ struct Executor::Impl {
   // Job records live in a stable-address slab and recycle through a
   // free list: steady-state admission touches no allocator, and the
   // slab's size is the run's peak backlog, not its job count.  `live`
-  // (a std::map for deterministic id-order view building) holds only
-  // admitted-but-not-terminal jobs.
+  // holds the admitted-but-not-terminal jobs in id order: admission
+  // appends (ids only grow), finalize erases, and lookups binary-search
+  // it, so a pass builds its view in the same order run to run and
+  // nothing here grows with the ids a long service hands out.
   std::deque<JobRec> slab;
   std::vector<JobRec*> free_recs;
-  std::map<JobId, JobRec*> live;
+  std::vector<JobRec*> live;
   JobId next_id = 0;
 
   // Worker pool.  Workers park on worker_cv between jobs; `idle` is a
@@ -102,10 +87,9 @@ struct Executor::Impl {
   // expiry and for the next critical time.
   runtime::TimerWheel<JobId> abort_wheel{kWheelGranularity, kWheelSlots};
 
-  // Per-CPU occupancy: running_on[c] is the job dispatched to CPU c
-  // (kNoJob = idle).  Invariant under mu: running_on[c] == id iff
-  // live.at(id)->cpu == c.
-  std::vector<JobId> running_on;
+  // The scheduling pass, shared with the simulator.  Its per-CPU
+  // occupancy is the one record of which job holds which slot.
+  sched::SchedulingPass pass;
   // Gauge of workers currently inside job bodies; feeds the report's
   // max_concurrency_observed high-water mark.
   int executing_now = 0;
@@ -113,16 +97,12 @@ struct Executor::Impl {
   ExecutorReport report;
   runtime::LatencyHistogram sojourn_hist;  // completed jobs only
   runtime::LatencyHistogram ingest_hist;   // lane offer -> admission
-  sched::DispatchSelector selector;
-  const std::vector<JobId> no_front;  // handlers run off-CPU, no front jobs
   std::thread sched_thread;
 
   struct JobRec final : public JobContext {
     Impl* owner = nullptr;
-    JobId jid = kNoJob;
     RtJob spec;
-    RtState state = RtState::kReady;
-    int cpu = -1;            // CPU slot currently held, -1 = none
+    bool aborting = false;   // the body throws at its next checkpoint
     bool counted = false;    // inside the executing_now gauge
     bool bound = false;      // a pool worker owns this record
     Time ran_for = 0;        // accumulated execution time estimate input
@@ -136,8 +116,7 @@ struct Executor::Impl {
 
     void reset() {
       spec = RtJob{};
-      state = RtState::kReady;
-      cpu = -1;
+      aborting = false;
       counted = false;
       bound = false;
       ran_for = 0;
@@ -145,52 +124,46 @@ struct Executor::Impl {
       acct = Job{};
     }
 
+    bool dispatched() const { return owner->pass.cpu_of(acct.id) >= 0; }
+
     // --- JobContext ---
     void checkpoint() override {
       std::unique_lock<std::mutex> lock(owner->mu);
-      if (state == RtState::kAborting) throw JobAborted{};
-      if (cpu >= 0) return;  // still dispatched: keep going
+      if (aborting) throw JobAborted{};
+      if (dispatched()) return;  // keep going
       // Preempted: leave the concurrency gauge and park.  The worker
       // never migrates and its thread-local access sink stays
       // installed, so structure events after resumption still credit
       // this job.
-      state = RtState::kPreempted;
       owner->leave_body(*this);
       owner->sched_cv.notify_all();
-      owner->worker_cv.wait(lock, [&] {
-        return cpu >= 0 || state == RtState::kAborting;
-      });
-      if (state == RtState::kAborting) throw JobAborted{};
-      state = RtState::kRunning;
+      owner->worker_cv.wait(lock, [&] { return dispatched() || aborting; });
+      if (aborting) throw JobAborted{};
       owner->enter_body(*this);
     }
 
     bool aborted() const override {
       std::lock_guard<std::mutex> lock(owner->mu);
-      return state == RtState::kAborting;
+      return aborting;
     }
 
-    JobId id() const override { return jid; }
+    JobId id() const override { return acct.id; }
   };
 
   Impl(const sched::Scheduler& sch, ExecutorConfig config)
-      : scheduler(&sch), cpu_count(config.cpu_count), cfg(config) {
-    LFRT_CHECK_MSG(cpu_count >= 1, "ExecutorConfig::cpu_count must be >= 1");
+      : cfg(config), pass(sch, config.cpu_count, config.dispatch) {
     LFRT_CHECK_MSG(cfg.worker_reserve >= 0,
                    "ExecutorConfig::worker_reserve must be >= 0");
     LFRT_CHECK_MSG(cfg.ingest_batch >= 1,
                    "ExecutorConfig::ingest_batch must be >= 1");
-    cfg.dispatch.placement.validate(cpu_count,
-                                    cfg.dispatch.placement.task_affinity.size());
-    selector.set_options(cfg.dispatch);
-    running_on.assign(static_cast<std::size_t>(cpu_count), kNoJob);
-    report.cpu_count = cpu_count;
-    report.cpu_busy.assign(static_cast<std::size_t>(cpu_count), 0);
-    report.cpu_jobs.assign(static_cast<std::size_t>(cpu_count), 0);
+    report.cpu_count = cfg.cpu_count;
+    report.cpu_busy.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
+    report.cpu_jobs.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
     scratch.resize(cfg.ingest_batch);
     {
       std::lock_guard<std::mutex> lock(mu);
-      for (int i = 0; i < cpu_count + cfg.worker_reserve; ++i) start_worker();
+      for (int i = 0; i < cfg.cpu_count + cfg.worker_reserve; ++i)
+        start_worker();
     }
     sched_thread = std::thread([this] { scheduler_loop(); });
   }
@@ -218,15 +191,26 @@ struct Executor::Impl {
     --executing_now;
   }
 
-  // Releases the job's CPU slot (if any) and accounts the stint, both
-  // into the job's execution time and the per-CPU busy tally.
-  void vacate_cpu(JobRec& r, Time t) {
-    if (r.cpu < 0) return;
-    const auto c = static_cast<std::size_t>(r.cpu);
+  // Accounts the job's stint on CPU `c` into its execution time and the
+  // per-CPU busy tally.
+  void end_stint(JobRec& r, int c, Time t) {
     r.ran_for += t - r.last_dispatch;
-    report.cpu_busy[c] += t - r.last_dispatch;
-    running_on[c] = kNoJob;
-    r.cpu = -1;
+    report.cpu_busy[static_cast<std::size_t>(c)] += t - r.last_dispatch;
+  }
+
+  // Releases the job's CPU slot (if any) outside a pass: the job is
+  // terminal or aborting.
+  void vacate_cpu(JobRec& r, Time t) {
+    const int c = pass.vacate(r.acct.id);
+    if (c >= 0) end_stint(r, c, t);
+  }
+
+  // The live record of `id`, or nullptr once it is terminal.
+  JobRec* find_live(JobId id) const {
+    const auto it = std::lower_bound(
+        live.begin(), live.end(), id,
+        [](const JobRec* r, JobId key) { return r->acct.id < key; });
+    return it != live.end() && (*it)->acct.id == id ? *it : nullptr;
   }
 
   Worker* start_worker() {
@@ -272,7 +256,6 @@ struct Executor::Impl {
     const JobId id = next_id++;
     JobRec* r = alloc_rec();
     r->owner = this;
-    r->jid = id;
     r->spec = std::move(job);
     r->acct.id = id;
     r->acct.task = r->spec.task;
@@ -280,7 +263,7 @@ struct Executor::Impl {
     r->acct.critical_abs = arrival + r->spec.tuf->critical_time();
     ++report.submitted;
     report.max_possible_utility += r->spec.tuf->max_utility();
-    live.emplace(id, r);
+    live.push_back(r);
     report.peak_live_records = std::max(
         report.peak_live_records, static_cast<std::int64_t>(live.size()));
     abort_wheel.schedule(r->acct.critical_abs, id);
@@ -296,7 +279,6 @@ struct Executor::Impl {
     vacate_cpu(r, t);
     r.acct.exec_actual = r.ran_for;
     if (completed) {
-      r.state = RtState::kCompleted;
       r.acct.state = JobState::kCompleted;
       r.acct.completion = t;
       ++report.completed;
@@ -304,7 +286,6 @@ struct Executor::Impl {
           r.spec.tuf->utility(r.acct.completion - r.acct.arrival);
       sojourn_hist.record(r.acct.completion - r.acct.arrival);
     } else {
-      r.state = RtState::kAborted;
       r.acct.state = JobState::kAborted;
       ++report.aborted;
     }
@@ -312,7 +293,7 @@ struct Executor::Impl {
     report.total_blockings += r.acct.blockings;
     report.total_backoff_spins += r.acct.backoff_spins;
     if (cfg.retain_job_records) report.jobs.push_back(r.acct);
-    live.erase(r.jid);
+    live.erase(std::find(live.begin(), live.end(), &r));
     r.spec = RtJob{};  // drop closures now, not at reuse
     free_recs.push_back(&r);
     sched_cv.notify_all();
@@ -327,27 +308,18 @@ struct Executor::Impl {
       finalize(r, /*completed=*/false, t);
       return;
     }
-    r.state = RtState::kAborting;
+    r.aborting = true;
     vacate_cpu(r, t);
     if (!r.bound) bind_worker(r);
     worker_cv.notify_all();  // parked workers observe and throw
   }
 
-  JobId submit(RtJob job) {
-    validate(job);
+  std::size_t submit_batch(RtJob* batch, std::size_t count, JobId* ids) {
+    for (std::size_t i = 0; i < count; ++i) validate(batch[i]);
     std::unique_lock<std::mutex> lock(mu);
     // Reject instead of racing the drain: once shutdown has begun the
     // scheduling thread may already be gone, so an accepted job could
     // never be dispatched and the counted_jobs invariant would break.
-    if (stopping) return kNoJob;
-    const JobId id = admit(std::move(job), now());
-    sched_cv.notify_all();
-    return id;
-  }
-
-  std::size_t submit_batch(RtJob* batch, std::size_t count, JobId* ids) {
-    for (std::size_t i = 0; i < count; ++i) validate(batch[i]);
-    std::unique_lock<std::mutex> lock(mu);
     if (stopping) return 0;
     const Time t = now();
     for (std::size_t i = 0; i < count; ++i) {
@@ -435,13 +407,8 @@ struct Executor::Impl {
   // the job's access sink installed, finalize.  mu held on entry and
   // exit, released around the body.
   void run_job(std::unique_lock<std::mutex>& lock, JobRec* r) {
-    worker_cv.wait(lock, [&] {
-      return r->cpu >= 0 || r->state == RtState::kAborting;
-    });
-    if (r->state != RtState::kAborting) {
-      r->state = RtState::kRunning;
-      enter_body(*r);
-    }
+    worker_cv.wait(lock, [&] { return r->dispatched() || r->aborting; });
+    if (!r->aborting) enter_body(*r);
     bool completed = false;
     lock.unlock();
     {
@@ -456,7 +423,7 @@ struct Executor::Impl {
       try {
         {
           std::lock_guard<std::mutex> g(mu);
-          if (r->state == RtState::kAborting) throw JobAborted{};
+          if (r->aborting) throw JobAborted{};
         }
         r->spec.body(*r);
         completed = true;
@@ -476,94 +443,57 @@ struct Executor::Impl {
 
   void scheduler_loop() {
     std::unique_lock<std::mutex> lock(mu);
-    // Reused across scheduling passes so the loop's steady state stays
-    // off the allocator (same contract as the simulator's hot path).
-    const auto ws = scheduler->make_workspace();
-    sched::ScheduleResult res;
-    std::vector<sched::SchedJob> view;
     while (true) {
       drain_lanes();
       const Time t = now();
 
       // Fire due abort timers (the timer going off).  Entries whose job
-      // already reached a terminal state miss the live map: stale, skip.
+      // already reached a terminal state are no longer live: stale, skip.
       abort_wheel.advance(t, [&](Time, JobId id) {
-        const auto it = live.find(id);
-        if (it == live.end()) return;
-        JobRec& r = *it->second;
-        if (terminal(r.state) || r.state == RtState::kAborting) return;
-        mark_aborting(r, t);
+        JobRec* r = find_live(id);
+        if (r == nullptr || r->aborting) return;
+        mark_aborting(*r, t);
       });
 
-      // Build the scheduler view over pending jobs (live is id-ordered,
-      // so ties break identically run to run).
-      view.clear();
-      for (auto& [id, r] : live) {
-        if (r->state == RtState::kAborting) continue;
+      // Hand the pass the pending jobs (live is id-ordered, so ties
+      // break identically run to run).  Abort handlers run off-CPU, so
+      // aborting jobs are left out and the pass has no front.
+      pass.begin();
+      for (JobRec* r : live) {
+        if (r->aborting) continue;
         sched::SchedJob sj;
-        sj.id = id;
+        sj.id = r->acct.id;
         sj.arrival = r->acct.arrival;
         sj.critical = r->acct.critical_abs;
         Time elapsed = r->ran_for;
-        if (r->cpu >= 0) elapsed += t - r->last_dispatch;
+        if (r->dispatched()) elapsed += t - r->last_dispatch;
         sj.remaining = std::max<Time>(1, r->spec.expected_exec - elapsed);
         sj.tuf = r->spec.tuf.get();
-        view.push_back(sj);
+        sj.task = r->spec.task;
+        pass.add(sj);
       }
 
       if (stopping && live.empty() && lanes_empty()) return;
 
-      scheduler->build_into(view, t, ws.get(), res);
+      report.sched_ops += pass.build(t).ops;
       ++report.sched_invocations;
-      report.sched_ops += res.ops;
-
-      // Placement-aware target selection + sticky assignment: the exact
-      // rule the simulator's cpu_count > 1 path applies
-      // (sched/dispatch.hpp).
-      const auto task_of = [&](JobId id) -> TaskId {
-        const auto it = live.find(id);
-        return it == live.end() ? TaskId{-1} : it->second->spec.task;
-      };
-      const auto& targets = selector.select(
-          no_front, res, cpu_count, static_cast<std::size_t>(next_id),
-          [&](JobId id) {
-            const auto it = live.find(id);
-            if (it == live.end()) return false;
-            return it->second->state != RtState::kAborting;
-          },
-          task_of);
-      const auto& next = selector.assign(
-          targets, cpu_count, task_of,
-          [&](JobId id) { return live.at(id)->cpu; });
-
-      bool changed = false;
-      for (int c = 0; c < cpu_count; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        const JobId prev = running_on[ci];
-        const JobId target = next[ci];
-        if (prev == target) continue;
-        changed = true;
-        if (prev != kNoJob) {
-          // Deschedule: account the stint (a preemption if the job is
-          // still unfinished).
-          JobRec& p = *live.at(prev);
-          vacate_cpu(p, t);
-          if (!terminal(p.state) && p.state != RtState::kAborting) {
-            ++p.acct.preemptions;
-            ++report.total_preemptions;
-          }
+      const auto& decisions = pass.dispatch();
+      for (const auto& d : decisions) {
+        if (d.prev != kNoJob) {
+          // Deschedule: account the stint as a preemption.
+          JobRec& p = *find_live(d.prev);
+          end_stint(p, d.cpu, t);
+          ++p.acct.preemptions;
+          ++report.total_preemptions;
+          continue;
         }
-        if (target != kNoJob) {
-          JobRec& n = *live.at(target);
-          if (!n.bound) bind_worker(n);  // first dispatch: claim a worker
-          n.cpu = c;
-          n.last_dispatch = t;
-          running_on[ci] = target;
-          ++report.dispatches;
-          ++report.cpu_jobs[ci];
-        }
+        JobRec& n = *find_live(d.next);
+        if (!n.bound) bind_worker(n);  // first dispatch: claim a worker
+        n.last_dispatch = t;
+        ++report.dispatches;
+        ++report.cpu_jobs[static_cast<std::size_t>(d.cpu)];
       }
-      if (changed) worker_cv.notify_all();
+      if (!decisions.empty()) worker_cv.notify_all();
 
       // Sleep until the next abort deadline or any event.  The
       // idle-flag/fence handshake with IngestLane::offer (see
@@ -590,15 +520,13 @@ struct Executor::Impl {
 
   void set_task_conflict_groups(std::vector<std::int32_t> groups) {
     std::lock_guard<std::mutex> lock(mu);
-    selector.set_conflict_groups(std::move(groups));
+    pass.set_conflict_groups(std::move(groups));
     sched_cv.notify_all();  // re-dispatch under the new steering
   }
 
   void set_placement(sched::Placement placement) {
     std::lock_guard<std::mutex> lock(mu);
-    auto opts = selector.options();
-    opts.placement = std::move(placement);
-    selector.set_options(std::move(opts));
+    pass.set_placement(std::move(placement));
     sched_cv.notify_all();  // re-dispatch under the new affinities
   }
 
@@ -671,7 +599,11 @@ Executor::~Executor() {
   if (impl_ && impl_->sched_thread.joinable()) (void)impl_->shutdown();
 }
 
-JobId Executor::submit(RtJob job) { return impl_->submit(std::move(job)); }
+JobId Executor::submit(RtJob job) {
+  JobId id = kNoJob;
+  impl_->submit_batch(&job, 1, &id);
+  return id;
+}
 
 std::size_t Executor::submit_batch(RtJob* jobs, std::size_t count,
                                    JobId* ids) {

@@ -91,7 +91,7 @@ struct ExecutorConfig {
   /// Number of CPU slots the dispatcher fills: up to cpu_count job
   /// bodies execute *concurrently*, chosen by the same top-M
   /// target-selection rule the simulator's cpu_count > 1 path applies
-  /// (sched::DispatchSelector over one global schedule).  1 reproduces
+  /// (sched::SchedulingPass over one global schedule).  1 reproduces
   /// the paper's uniprocessor model — lock-free retries then come only
   /// from cooperative preemption; with M > 1 they also come from true
   /// parallelism (the paper's "multiprocessor systems" future-work
@@ -204,7 +204,7 @@ struct ExecutorReport : runtime::RunReport {
 /// M = ExecutorConfig::cpu_count CPU slots.  The scheduling thread
 /// computes one global schedule at every scheduling event and dispatches
 /// its top M eligible jobs (the simulator's multi-CPU rule, shared via
-/// sched::DispatchSelector); each dispatched job's worker executes its
+/// sched::SchedulingPass); each dispatched job's worker executes its
 /// body while the others park inside checkpoint().  With the default
 /// cpu_count = 1 exactly one body executes at a time — the paper's
 /// uniprocessor model, where lock-free interference comes only from
@@ -287,9 +287,10 @@ class Executor {
   void set_task_conflict_groups(std::vector<std::int32_t> groups);
 
   /// Replace the live placement (ExecutorConfig::dispatch.placement)
-  /// — the contention controller's migration hook.  The policy and CPU
-  /// topology must match the configured one; only task affinities may
-  /// change.  Thread-safe; takes effect at the next scheduling pass
+  /// — the contention controller's migration hook.  Only task
+  /// affinities may change, each to an existing CPU or cluster; else
+  /// throws InvariantViolation and keeps the old placement.
+  /// Thread-safe; takes effect at the next scheduling pass
   /// (an already-running job migrates at its next dispatch decision).
   void set_placement(sched::Placement placement);
 

@@ -111,17 +111,18 @@ void ContentionController::stop() {
   impl_->running = false;
 }
 
-void ContentionController::enable_placement(
-    sched::Placement placement, std::int32_t cluster_count,
-    std::vector<std::vector<TaskId>> accessors_of,
-    std::vector<TaskId> writer_of) {
+void ContentionController::enable_placement(sched::Placement placement,
+                                            std::int32_t cluster_count,
+                                            const TaskSet& ts) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   LFRT_CHECK_MSG(!impl_->running,
                  "enable_placement must precede ContentionController::start");
   std::vector<std::int32_t> clusters(placement.task_affinity);
   impl_->placement = std::move(placement);
+  ObjectTopology topo(ts);
   impl_->core.enable_placement(std::move(clusters), cluster_count,
-                               std::move(accessors_of), std::move(writer_of));
+                               std::move(topo.accessors_of),
+                               std::move(topo.writer_of));
 }
 
 std::vector<ShardDecision> ContentionController::decisions() const {

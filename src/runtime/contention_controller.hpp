@@ -35,6 +35,7 @@
 // which applies its decisions to a live SharedObjectSet.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -102,6 +103,39 @@ struct PlacementMove {
 
   friend bool operator==(const PlacementMove&,
                          const PlacementMove&) = default;
+};
+
+/// The object topology placement actions need (enable_placement), read
+/// off a task set: each object's accessors in ascending task order, and
+/// the single task that writes it (-1 when none or several do).  A
+/// nested lock span counts as a write.
+struct ObjectTopology {
+  std::vector<std::vector<TaskId>> accessors_of;
+  std::vector<TaskId> writer_of;
+
+  explicit ObjectTopology(const TaskSet& ts)
+      : accessors_of(static_cast<std::size_t>(ts.object_count)),
+        writer_of(static_cast<std::size_t>(ts.object_count), -1) {
+    std::vector<bool> contested(writer_of.size(), false);
+    const auto note = [&](ObjectId o, TaskId t, bool write) {
+      const auto oi = static_cast<std::size_t>(o);
+      if (std::find(accessors_of[oi].begin(), accessors_of[oi].end(), t) ==
+          accessors_of[oi].end())
+        accessors_of[oi].push_back(t);
+      if (write) {
+        if (writer_of[oi] >= 0 && writer_of[oi] != t) contested[oi] = true;
+        writer_of[oi] = t;
+      }
+    };
+    for (const auto& t : ts.tasks) {
+      for (const auto& a : t.accesses) note(a.object, t.id, a.write);
+      for (const auto& sp : t.spans) note(sp.object, t.id, true);
+    }
+    for (std::size_t o = 0; o < writer_of.size(); ++o) {
+      if (contested[o]) writer_of[o] = -1;
+      std::sort(accessors_of[o].begin(), accessors_of[o].end());
+    }
+  }
 };
 
 /// Pure epoch-stepped policy core.  Feed it matrix snapshots; it
@@ -354,11 +388,10 @@ class ContentionController {
   /// decides task migrations (writer-home / spread-hot-group) and the
   /// epoch thread applies them live — re-routing scoped-object
   /// instances via SharedObjectSet::set_task_instance and re-pinning
-  /// dispatch via Executor::set_placement.
+  /// dispatch via Executor::set_placement.  The object topology is read
+  /// off `ts` (ObjectTopology).
   void enable_placement(sched::Placement placement,
-                        std::int32_t cluster_count,
-                        std::vector<std::vector<TaskId>> accessors_of,
-                        std::vector<TaskId> writer_of);
+                        std::int32_t cluster_count, const TaskSet& ts);
 
   /// Shard-count changes applied so far (snapshot; thread-safe).
   std::vector<ShardDecision> decisions() const;

@@ -158,36 +158,7 @@ rt::ExecutorReport run_on_executor(const TaskSet& ts,
   if (any_adapt || want_place) {
     controller =
         std::make_unique<ContentionController>(cfg.controller, objs.get(), &ex);
-    if (want_place) {
-      // Topology for the placement actions: who accesses each object
-      // (id order) and the single writer of each (or -1 if contested).
-      std::vector<std::vector<TaskId>> accessors_of(
-          static_cast<std::size_t>(objs->object_count()));
-      std::vector<TaskId> writer_of(
-          static_cast<std::size_t>(objs->object_count()), -1);
-      std::vector<bool> contested(
-          static_cast<std::size_t>(objs->object_count()), false);
-      for (const auto& t : ts.tasks) {
-        for (const AccessSpec& a : t.accesses) {
-          auto& acc = accessors_of[static_cast<std::size_t>(a.object)];
-          if (std::find(acc.begin(), acc.end(), t.id) == acc.end())
-            acc.push_back(t.id);
-          if (a.write) {
-            auto& w = writer_of[static_cast<std::size_t>(a.object)];
-            if (w >= 0 && w != t.id)
-              contested[static_cast<std::size_t>(a.object)] = true;
-            w = t.id;
-          }
-        }
-      }
-      for (std::size_t o = 0; o < writer_of.size(); ++o) {
-        if (contested[o]) writer_of[o] = -1;
-        std::sort(accessors_of[o].begin(), accessors_of[o].end());
-      }
-      controller->enable_placement(placement, cluster_count,
-                                   std::move(accessors_of),
-                                   std::move(writer_of));
-    }
+    if (want_place) controller->enable_placement(placement, cluster_count, ts);
     controller->start();
   }
 

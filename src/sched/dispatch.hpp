@@ -6,14 +6,14 @@
 // The selection rule — the schedule's eligible jobs in order, behind any
 // must-run-now jobs (abort handlers) and the scheduler's own dispatch
 // nomination — and the sticky CPU assignment that keeps already-running
-// jobs on their CPU both live here, so sim::Simulator (cpu_count > 1)
-// and rt::Executor (ExecutorConfig::cpu_count) dispatch identically and
-// the cross-substrate validation (bench/ext_executor_validation)
-// compares like with like.
+// jobs on their CPU both live here.  sched::SchedulingPass
+// (scheduling_pass.hpp) runs them for sim::Simulator and rt::Executor
+// alike, so the cross-substrate validation
+// (bench/ext_executor_validation) compares like with like.
 //
 // A DispatchSelector is reusable scratch, exactly like a
-// Scheduler::Workspace: one instance per dispatching loop, never shared
-// between threads, steady-state allocation-free.
+// Scheduler::Workspace: one instance per pass, never shared between
+// threads, steady-state allocation-free.
 #pragma once
 
 #include <algorithm>

@@ -34,6 +34,10 @@ struct SchedJob {
   /// not blocked).  Always kNoJob under lock-free sharing.
   JobId waits_on = kNoJob;
 
+  /// The job's task.  Schedulers ignore it; dispatch reads it for
+  /// placement and conflict steering.
+  TaskId task = -1;
+
   bool runnable() const { return waits_on == kNoJob; }
 };
 

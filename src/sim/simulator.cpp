@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "runtime/shared_object.hpp"
-#include "sched/dispatch.hpp"
+#include "sched/scheduling_pass.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "uam/uam.hpp"
@@ -65,7 +65,6 @@ struct Milestone {
 
 struct Simulator::Impl {
   TaskSet tasks;
-  const sched::Scheduler* scheduler;
   SimConfig cfg;
   std::unordered_map<TaskId, std::vector<Time>> arrival_traces;
 
@@ -99,7 +98,6 @@ struct Simulator::Impl {
   // count up front, so steady-state arrivals never reallocate — but no
   // Job& is ever held across an insertion anyway.
   std::vector<Job> jobs;
-  std::vector<int> job_cpu;  // per job: CPU it occupies, or -1
   // Per job: length of its current access attempt, set when the attempt
   // starts (access start, lock acquisition, retry).  It bakes in the
   // contender count observed at attempt start — stored so milestone
@@ -109,8 +107,7 @@ struct Simulator::Impl {
   // acquisition, so a placement migration mid-hold still releases the
   // instance actually held.
   std::vector<std::int32_t> held_inst_;
-  std::vector<JobId> alive;
-  std::vector<JobId> running_on;    // per CPU: job or kNoJob
+  std::vector<JobId> alive;  // id order
   std::vector<Time> run_start_on;   // per CPU: instant its job (re)starts
   // Per CPU: its job's next milestone (t = kTimeNever if none), not in q.
   std::vector<Milestone> milestone_on;
@@ -134,9 +131,8 @@ struct Simulator::Impl {
   // the pre-sharding per-object rule, bit for bit.
   std::vector<Time> last_shard_write;
   std::vector<std::int32_t> shard_count_;  // per-object live stripe count
-  // Live placement (task_affinity mutates under controller moves) and
-  // the derived cluster topology / object-scoping switch.
-  sched::Placement placement_;
+  // Cluster topology of the placement (fixed for the run; controller
+  // moves change only task affinities) and the object-scoping switch.
   std::int32_t cluster_count_ = 1;
   bool scoped_ = false;  // per-cluster queue/stack instancing in force
   JobId next_job_id = 0;
@@ -147,21 +143,12 @@ struct Simulator::Impl {
   std::priority_queue<Event, std::vector<Event>, EventLater> q;
   SimReport report;
 
-  // ---- per-event scratch ----
-  //
-  // The scheduler invocation path runs at every arrival, departure, and
-  // (lock-based) lock/unlock request; these buffers are reused across
-  // events so the steady-state path performs no heap allocation (the
-  // scheduler side reuses `sched_ws` the same way).  reschedule() may
-  // recurse once after deadlock resolution — safe, because the recursive
-  // call's caller returns immediately without touching the scratch.
-  std::unique_ptr<sched::Scheduler::Workspace> sched_ws;
-  sched::ScheduleResult sched_result;
-  std::vector<sched::SchedJob> view_scratch;
-  std::vector<JobId> aborting_scratch;
-  // Top-M target selection + sticky CPU assignment, shared with
-  // rt::Executor so both substrates dispatch identically.
-  sched::DispatchSelector selector;
+  // The scheduling pass, shared with rt::Executor so both substrates
+  // dispatch identically.  It owns the per-CPU occupancy, the live
+  // placement and the reused scheduler scratch, so the pass that runs
+  // at every arrival, departure and (lock-based) lock/unlock request
+  // performs no heap allocation in steady state.
+  sched::SchedulingPass pass;
   std::ostringstream trace_os;  // reused trace formatting buffer
 
   // Resolved per-object specs (one per ObjectId; the homogeneous
@@ -180,9 +167,8 @@ struct Simulator::Impl {
   std::unique_ptr<runtime::ContentionControllerCore> controller;
 
   Impl(TaskSet ts, const sched::Scheduler& sch, SimConfig c)
-      : tasks(std::move(ts)), scheduler(&sch), cfg(c) {
+      : tasks(std::move(ts)), cfg(c), pass(sch, c.cpu_count, c.dispatch) {
     tasks.validate();
-    LFRT_CHECK_MSG(cfg.cpu_count >= 1, "need at least one CPU");
     LFRT_CHECK_MSG(cfg.horizon < kTimeNever, "horizon must be finite");
     for (const auto& t : tasks.tasks) {
       if (t.nested())
@@ -230,11 +216,8 @@ struct Simulator::Impl {
       obj_cost_.push_back(model.at(s.kind, s.impl));
     TaskId max_task = -1;
     for (const auto& t : tasks.tasks) max_task = std::max(max_task, t.id);
-    placement_ = cfg.dispatch.placement;
-    placement_.validate(cfg.cpu_count, static_cast<std::size_t>(max_task + 1));
-    cluster_count_ = placement_.cluster_count(cfg.cpu_count);
-    selector.set_options(cfg.dispatch);
-    running_on.assign(static_cast<std::size_t>(cfg.cpu_count), kNoJob);
+    const sched::Placement& placement = pass.placement();
+    cluster_count_ = placement.cluster_count(cfg.cpu_count);
     run_start_on.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
     milestone_on.assign(static_cast<std::size_t>(cfg.cpu_count), {});
     holders.assign(static_cast<std::size_t>(tasks.object_count) *
@@ -259,8 +242,7 @@ struct Simulator::Impl {
       any_adapt = any_adapt || (shardable && s.adapt);
       any_scoped_kind = any_scoped_kind || runtime::is_scoped_kind(s.kind);
     }
-    scoped_ =
-        !placement_.global() && placement_.scope_objects && any_scoped_kind;
+    scoped_ = !placement.global() && placement.scope_objects && any_scoped_kind;
     if (scoped_) {
       // Per-cluster instancing reuses the per-object stripe index space
       // (and conflicts with the other decompositions of the same
@@ -280,48 +262,23 @@ struct Simulator::Impl {
         LFRT_CHECK_MSG(t.spans.empty(),
                        "scoped placement excludes nested lock spans");
     }
-    const bool want_place = cfg.controller.place && !placement_.global();
+    const bool want_place = cfg.controller.place && !placement.global();
     if ((any_adapt || want_place) && cfg.mode != ShareMode::kIdeal) {
       LFRT_CHECK_MSG(cfg.controller.epoch > 0,
                      "controller epoch must be positive");
       controller = std::make_unique<runtime::ContentionControllerCore>(
           cfg.controller, obj_specs);
       if (want_place) {
-        // Topology the placement actions need: each task's cluster, who
-        // accesses each object (id order), and the single writer of
-        // buffer/snapshot objects (or -1 when contested).
+        // Topology the placement actions need: each task's cluster and
+        // the object topology.
         std::vector<std::int32_t> clusters(
             static_cast<std::size_t>(max_task + 1), -1);
         for (TaskId t = 0; t <= max_task; ++t)
-          clusters[static_cast<std::size_t>(t)] =
-              placement_.cluster_of_task(t);
-        std::vector<std::vector<TaskId>> accessors_of(
-            static_cast<std::size_t>(tasks.object_count));
-        std::vector<TaskId> writer_of(
-            static_cast<std::size_t>(tasks.object_count), -1);
-        std::vector<bool> contested(
-            static_cast<std::size_t>(tasks.object_count), false);
-        const auto note = [&](ObjectId o, TaskId t, bool write) {
-          auto& acc = accessors_of[static_cast<std::size_t>(o)];
-          if (std::find(acc.begin(), acc.end(), t) == acc.end())
-            acc.push_back(t);
-          if (write) {
-            auto& w = writer_of[static_cast<std::size_t>(o)];
-            if (w >= 0 && w != t) contested[static_cast<std::size_t>(o)] = true;
-            w = t;
-          }
-        };
-        for (const auto& t : tasks.tasks) {
-          for (const auto& a : t.accesses) note(a.object, t.id, a.write);
-          for (const auto& sp : t.spans) note(sp.object, t.id, true);
-        }
-        for (std::size_t o = 0; o < writer_of.size(); ++o) {
-          if (contested[o]) writer_of[o] = -1;
-          std::sort(accessors_of[o].begin(), accessors_of[o].end());
-        }
+          clusters[static_cast<std::size_t>(t)] = placement.cluster_of_task(t);
+        runtime::ObjectTopology topo(tasks);
         controller->enable_placement(std::move(clusters), cluster_count_,
-                                     std::move(accessors_of),
-                                     std::move(writer_of));
+                                     std::move(topo.accessors_of),
+                                     std::move(topo.writer_of));
       }
     }
     pending_suffix_.resize(static_cast<std::size_t>(max_task + 1));
@@ -339,7 +296,6 @@ struct Simulator::Impl {
                                                t.accesses[k].write));
       }
     }
-    sched_ws = scheduler->make_workspace();
     report.contention = runtime::ContentionMatrix(
         tasks.object_count, static_cast<std::int32_t>(max_task + 1));
   }
@@ -391,7 +347,7 @@ struct Simulator::Impl {
   /// Unplaced tasks use instance 0.
   std::int32_t lock_inst(ObjectId o, TaskId t) const {
     if (!scoped_ || !runtime::is_scoped_kind(kind_of(o))) return 0;
-    const std::int32_t c = placement_.cluster_of_task(t);
+    const std::int32_t c = pass.placement().cluster_of_task(t);
     return (c >= 0 && c < cluster_count_) ? c : 0;
   }
 
@@ -480,17 +436,6 @@ struct Simulator::Impl {
     out.push_back({id, task, cpu, begin, end});
   }
 
-  // O(1) via the per-job CPU index (kept in sync at every running_on
-  // write), replacing the per-event scan over the CPU array.
-  int cpu_of(JobId id) const { return job_cpu[static_cast<std::size_t>(id)]; }
-
-  /// Clear a CPU slot, unbinding its job's CPU index.
-  void clear_cpu(int c) {
-    const JobId id = running_on[static_cast<std::size_t>(c)];
-    if (id != kNoJob) job_cpu[static_cast<std::size_t>(id)] = -1;
-    running_on[static_cast<std::size_t>(c)] = kNoJob;
-  }
-
   // ---- per-job execution geometry -----------------------------------
 
   /// Remaining execution estimate: remaining compute plus remaining
@@ -556,7 +501,7 @@ struct Simulator::Impl {
   /// Apply CPU progress of every running job up to instant t.
   void sync_progress(Time t) {
     for (int c = 0; c < cfg.cpu_count; ++c) {
-      const JobId id = running_on[static_cast<std::size_t>(c)];
+      const JobId id = pass.running_on(c);
       if (id == kNoJob) continue;
       Job& j = job(id);
       const Time from =
@@ -591,7 +536,7 @@ struct Simulator::Impl {
         superseded_sync = std::max(superseded_sync, m.ev.t);
       }
       m.ev.t = kTimeNever;
-      const JobId id = running_on[static_cast<std::size_t>(c)];
+      const JobId id = pass.running_on(c);
       if (id == kNoJob) continue;
       const Time base =
           std::max(now, run_start_on[static_cast<std::size_t>(c)]);
@@ -610,17 +555,13 @@ struct Simulator::Impl {
   /// event: arrivals, departures (completion/abort), and — lock-based
   /// only — lock and unlock requests.
   void reschedule() {
-    auto& view = view_scratch;
-    view.clear();
-    view.reserve(alive.size());
-    auto& aborting = aborting_scratch;
-    aborting.clear();
+    pass.begin();
     for (JobId id : alive) {
       const Job& j = job(id);
       if (j.state == JobState::kAborting) {
         // Abort handlers execute immediately at the highest eligibility
         // (Section 3.5); they are not the scheduler's to order.
-        aborting.push_back(id);
+        pass.add_front(id, j.task);
         continue;
       }
       sched::SchedJob sj;
@@ -630,11 +571,11 @@ struct Simulator::Impl {
       sj.remaining = remaining_estimate(j);
       sj.tuf = params_of(j).tuf.get();
       sj.waits_on = j.state == JobState::kBlocked ? j.waits_on : kNoJob;
-      view.push_back(sj);
+      sj.task = j.task;
+      pass.add(sj);
     }
 
-    scheduler->build_into(view, now, sched_ws.get(), sched_result);
-    const sched::ScheduleResult& res = sched_result;
+    const sched::ScheduleResult& res = pass.build(now);
     ++report.sched_invocations;
     report.sched_ops += res.ops;
     const Time overhead = static_cast<Time>(
@@ -657,61 +598,26 @@ struct Simulator::Impl {
       // Immediate aborts released locks and woke waiters; rebuild the
       // schedule against the post-resolution state (both invocations
       // genuinely ran and are charged).  Recursion is bounded: a job is
-      // a victim at most once.
+      // a victim at most once, and `res` is not read after the call.
       reschedule();
       return;
     }
 
-    // Placement-aware top-M selection (shared with the executor): abort
-    // handlers first, then the scheduler's dispatch choice, then the
-    // schedule's runnable jobs in order, each admitted against its
-    // cluster's CPU budget; conflict-group steering engages only once
-    // the controller installed a vector.
-    const auto& targets = selector.select(
-        aborting, res, cfg.cpu_count, jobs.size(),
-        [&](JobId id) {
-          const JobState s = job(id).state;
-          return s == JobState::kReady || s == JobState::kRunning;
-        },
-        [&](JobId id) { return job(id).task; });
-
-    dispatch(targets, overhead);
-  }
-
-  void dispatch(const std::vector<JobId>& targets, Time overhead) {
-    // Sticky, placement-respecting assignment: keep selected jobs on
-    // their current CPUs (when still inside their cluster), fill
-    // newcomers into their cluster's freed slots.
-    const auto& next = selector.assign(
-        targets, cfg.cpu_count, [&](JobId id) { return job(id).task; },
-        [&](JobId id) { return cpu_of(id); });
-
     cpu_free_at = std::max(cpu_free_at, now) + overhead;
-
-    // Vacate before filling, so a migrating job's old CPU cannot unbind it.
-    for (int c = 0; c < cfg.cpu_count; ++c) {
-      const JobId prev = running_on[static_cast<std::size_t>(c)];
-      if (prev == kNoJob || prev == next[static_cast<std::size_t>(c)])
-        continue;  // sticky: run_start unchanged
-      Job& pj = job(prev);
-      clear_cpu(c);
-      if (!pj.finished() && pj.state != JobState::kBlocked) {
+    for (const auto& d : pass.dispatch()) {
+      if (d.prev != kNoJob) {
+        // A preemption: jobs that block or finish leave their CPU then.
+        Job& pj = job(d.prev);
         if (pj.state == JobState::kRunning) pj.state = JobState::kReady;
         ++pj.preemptions;
         ++report.total_preemptions;
+        continue;
       }
-    }
-    for (int c = 0; c < cfg.cpu_count; ++c) {
-      const std::size_t ci = static_cast<std::size_t>(c);
-      const JobId target = next[ci];
-      if (target == kNoJob || running_on[ci] == target) continue;
-      Job& j = job(target);
-      running_on[ci] = target;
-      job_cpu[static_cast<std::size_t>(target)] = c;
+      Job& j = job(d.next);
       if (j.state != JobState::kAborting) j.state = JobState::kRunning;
-      run_start_on[ci] = cpu_free_at;
+      run_start_on[static_cast<std::size_t>(d.cpu)] = cpu_free_at;
       ++report.dispatches;
-      ++report.cpu_jobs[ci];
+      ++report.cpu_jobs[static_cast<std::size_t>(d.cpu)];
     }
     repost_milestones();
   }
@@ -738,7 +644,6 @@ struct Simulator::Impl {
     alive.push_back(j.id);
     LFRT_CHECK(j.id == static_cast<JobId>(jobs.size()));
     jobs.push_back(j);
-    job_cpu.push_back(-1);
     attempt_len_.push_back(0);
     held_inst_.push_back(0);
     reschedule();
@@ -781,9 +686,8 @@ struct Simulator::Impl {
     ++j.blockings;
     ++report.total_blockings;
     ++ccell(obj, j.task).blockings;
-    const int c = cpu_of(j.id);
+    const int c = pass.vacate(j.id);
     LFRT_CHECK(c >= 0);
-    clear_cpu(c);
     trace("blocked job=", j.id, " on=", hs.front(), " obj=", obj);
     return false;
   }
@@ -821,8 +725,7 @@ struct Simulator::Impl {
 
   void retire(JobId id) {
     alive.erase(std::remove(alive.begin(), alive.end(), id), alive.end());
-    const int c = cpu_of(id);
-    if (c >= 0) clear_cpu(c);
+    pass.vacate(id);
   }
 
   /// Raise an abort-exception on a job (critical-time expiry or
@@ -842,8 +745,7 @@ struct Simulator::Impl {
       j.state = JobState::kAborting;
       j.handler_done = 0;
       // It re-enters the CPU via the abort-priority dispatch path.
-      const int c = cpu_of(j.id);
-      if (c >= 0) clear_cpu(c);
+      pass.vacate(j.id);
     }
   }
 
@@ -856,7 +758,7 @@ struct Simulator::Impl {
   }
 
   void handle_milestone(JobId id, MsKind ms) {
-    LFRT_CHECK(cpu_of(id) >= 0);
+    LFRT_CHECK(pass.cpu_of(id) >= 0);
     Job& j = job(id);
     const TaskParams& p = params_of(j);
 
@@ -1042,12 +944,13 @@ struct Simulator::Impl {
       trace("shard ", d.from_shards < d.to_shards ? "promote" : "demote",
             " obj=", d.object, " ", d.from_shards, "->", d.to_shards);
     }
-    selector.set_conflict_groups(std::move(ep.conflict_groups));
+    pass.set_conflict_groups(std::move(ep.conflict_groups));
+    sched::Placement placement = pass.placement();
     for (runtime::PlacementMove& mv : ep.placement_moves) {
       mv.time = now;
       if (mv.task >= 0 &&
-          static_cast<std::size_t>(mv.task) < placement_.task_affinity.size())
-        placement_.task_affinity[static_cast<std::size_t>(mv.task)] =
+          static_cast<std::size_t>(mv.task) < placement.task_affinity.size())
+        placement.task_affinity[static_cast<std::size_t>(mv.task)] =
             mv.to_cluster;
       trace("place task=", mv.task, " cluster=", mv.to_cluster,
             " obj=", mv.object);
@@ -1065,11 +968,7 @@ struct Simulator::Impl {
         }
       }
     }
-    if (!ep.placement_moves.empty()) {
-      auto opts = selector.options();
-      opts.placement = placement_;
-      selector.set_options(std::move(opts));
-    }
+    if (!ep.placement_moves.empty()) pass.set_placement(std::move(placement));
     if (now + cfg.controller.epoch <= cfg.horizon)
       q.push(Event{now + cfg.controller.epoch, 0, next_seq++,
                    EvKind::kController});
@@ -1118,7 +1017,6 @@ struct Simulator::Impl {
     // this reservation makes the slab reallocation-free for the whole
     // run (and the parallel index vectors with it).
     jobs.reserve(total_arrivals);
-    job_cpu.reserve(total_arrivals);
     attempt_len_.reserve(total_arrivals);
     held_inst_.reserve(total_arrivals);
 

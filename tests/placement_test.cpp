@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "analysis/mp.hpp"
 #include "runtime/contention_controller.hpp"
 #include "runtime/exec_adapter.hpp"
 #include "runtime/report_json.hpp"
+#include "rt/executor.hpp"
 #include "sched/dispatch.hpp"
 #include "sched/edf.hpp"
 #include "sched/placement.hpp"
@@ -727,6 +731,73 @@ TEST(PlacementExecutor, ScopedPartitionEliminatesRetriesAndCertifies) {
       rep, ts, {ObjectSpec{ObjectKind::kQueue, ObjectImpl::kLockFree}},
       runtime::CostModel{}, opt);
   EXPECT_TRUE(cert.ok);
+}
+
+// A job of task 0 whose body spins on checkpoint() for 50 ms after
+// `release` is set.
+rt::RtJob checkpointing_job(const std::atomic<bool>& release,
+                            std::atomic<bool>* started = nullptr) {
+  rt::RtJob job;
+  job.task = 0;
+  job.tuf = make_step_tuf(10.0, msec(2000));
+  job.expected_exec = msec(50);
+  job.body = [&release, started](rt::JobContext& ctx) {
+    if (started != nullptr) started->store(true);
+    while (!release.load()) ctx.checkpoint();
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    while (std::chrono::steady_clock::now() < until) ctx.checkpoint();
+  };
+  return job;
+}
+
+TEST(PlacementExecutor, MigrationToALowerCpuKeepsTheJobRunning) {
+  // Task 0 runs on CPU 1; set_placement moves it to CPU 0 mid-body.
+  // One pass must release CPU 1 before it binds CPU 0: binding first
+  // let the old CPU's release unbind the job, which then parked at its
+  // next checkpoint until its critical time aborted it.
+  const sched::EdfScheduler edf;
+  rt::ExecutorConfig cfg;
+  cfg.cpu_count = 2;
+  cfg.dispatch.placement = partitioned({1});
+  rt::Executor ex(edf, cfg);
+  std::atomic<bool> started{false};
+  std::atomic<bool> moved{false};
+  ASSERT_NE(ex.submit(checkpointing_job(moved, &started)), kNoJob);
+  while (!started.load()) std::this_thread::yield();
+  ex.set_placement(partitioned({0}));
+  moved.store(true);
+  ex.drain();
+  const auto rep = ex.shutdown();
+  EXPECT_EQ(rep.completed, 1);
+  EXPECT_EQ(rep.aborted, 0);
+  EXPECT_EQ(rep.cpu_jobs, (std::vector<std::int64_t>{1, 1}));
+}
+
+TEST(PlacementExecutor, SetPlacementRejectsAllButAffinityChanges) {
+  const sched::EdfScheduler edf;
+  rt::ExecutorConfig cfg;
+  cfg.cpu_count = 2;
+  cfg.dispatch.placement = partitioned({1});
+  rt::Executor ex(edf, cfg);
+  const std::atomic<bool> go{true};
+  const auto run_one = [&] {
+    ASSERT_NE(ex.submit(checkpointing_job(go)), kNoJob);
+    ex.drain();
+  };
+  // CPU 2 does not exist: dispatch would index past the cluster table.
+  EXPECT_THROW(ex.set_placement(partitioned({2})), InvariantViolation);
+  run_one();
+  // A policy change, here to clustered with no CPU map.
+  EXPECT_THROW(ex.set_placement(clustered({}, {0})), InvariantViolation);
+  run_one();
+  EXPECT_THROW(ex.set_placement(Placement{}), InvariantViolation);
+  run_one();
+  const auto rep = ex.shutdown();
+  EXPECT_EQ(rep.completed, 3);
+  EXPECT_EQ(rep.aborted, 0);
+  // Every job ran on its pinned CPU: no rejected placement took hold.
+  EXPECT_EQ(rep.cpu_jobs, (std::vector<std::int64_t>{0, 3}));
 }
 
 // ---- RunReport JSON round-trip -------------------------------------

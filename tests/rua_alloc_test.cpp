@@ -3,8 +3,9 @@
 // at a given job-count high-water mark, further build_into calls must
 // perform no heap allocations at all (RuaWorkspace documents the
 // contract; this test is the hook that keeps it honest).  The dispatch
-// selector that consumes each schedule is held to the same contract,
-// and its memory must not grow with the job ids it is handed.
+// selector that consumes each schedule, and the scheduling pass that
+// runs both, are held to the same contract, and their memory must not
+// grow with the job ids they are handed.
 //
 // The counting operator new/delete overrides are process-global, which
 // is safe here because the binary runs single-threaded and gtest's own
@@ -19,6 +20,7 @@
 
 #include "sched/dispatch.hpp"
 #include "sched/rua.hpp"
+#include "sched/scheduling_pass.hpp"
 #include "tuf/tuf.hpp"
 
 namespace {
@@ -164,7 +166,10 @@ TEST(RuaAllocTest, ShrinkingJobCountStaysAllocationFree) {
 TEST(DispatchSelectorAllocTest, SelectOverGrowingIdsAllocatesNothing) {
   // A long-running service admits jobs with ever-larger ids.  After one
   // warm-up selection, select must not allocate however large the ids
-  // (and id_limit) grow: its scratch is bounded by cpu_count.
+  // (and id_limit) grow: its scratch is bounded by cpu_count.  The same
+  // holds for a whole scheduling pass (view, RUA build, select, assign
+  // and the per-CPU decisions) once it has seen a pass that replaces
+  // every running job.
   constexpr int kCpus = 4;
   sched::DispatchSelector selector;
   ScheduleResult res;
@@ -179,6 +184,21 @@ TEST(DispatchSelectorAllocTest, SelectOverGrowingIdsAllocatesNothing) {
   };
   fill(0);
   selector.select(front, res, kCpus, res.schedule.size(), eligible, task_of);
+  const RuaScheduler rua(Sharing::kLockFree);
+  sched::SchedulingPass pass(rua, kCpus, {});
+  const View view = make_view(8, /*chained=*/false);
+  const auto run_pass = [&](JobId base) {
+    pass.begin();
+    for (SchedJob j : view.jobs) {
+      j.id += base;
+      j.task = task_of(j.id);
+      pass.add(j);
+    }
+    pass.build(0);
+    return pass.dispatch().size();
+  };
+  run_pass(0);
+  run_pass(1 << 9);
 
   std::vector<JobId> last;
   last.reserve(kCpus);
@@ -193,6 +213,7 @@ TEST(DispatchSelectorAllocTest, SelectOverGrowingIdsAllocatesNothing) {
                         eligible, task_of);
     last.assign(targets.begin(), targets.end());
     last_base = base;
+    EXPECT_EQ(run_pass(base), 2u * kCpus);  // all four CPUs change hands
   }
   g_counting.store(false);
   EXPECT_EQ(g_allocs.load(), 0);
