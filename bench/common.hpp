@@ -22,9 +22,14 @@
 //   sched_ns_per_op = 5  (scheduler overhead charge per counted op)
 #pragma once
 
+#include <sched.h>
+
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -298,6 +303,36 @@ double measure_cml(MakeSpec&& make_spec, const RunParams& rp,
                    double miss_tolerance = 0.001) {
   return measure_cml(pool(), std::forward<MakeSpec>(make_spec), rp,
                      al_step, al_max, miss_tolerance);
+}
+
+#ifndef LFRT_BUILD_TYPE
+#define LFRT_BUILD_TYPE "unknown"
+#endif
+
+/// The host an artifact was taken on, as a JSON object for its "host"
+/// key: CPUs this process may run on, the 1-minute load average, the
+/// CMake build type and the compiler (the same facts perfbench prints).
+/// Call it before the bench's own threads load the host.
+inline std::string host_json() {
+  cpu_set_t cpus;
+  const int nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                        ? CPU_COUNT(&cpus)
+                        : 0;
+  double load1 = -1.0;
+  if (getloadavg(&load1, 1) != 1) load1 = -1.0;
+  load1 = std::round(load1 * 100.0) / 100.0;
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::ostringstream os;
+  os << "{\"nproc\": " << nproc << ", \"loadavg_1m\": " << load1
+     << ", \"build_type\": \"" << LFRT_BUILD_TYPE
+     << "\", \"compiler\": \"" << compiler << "\"}";
+  return os.str();
 }
 
 /// Print the standard bench header.

@@ -204,6 +204,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const std::string host = bench::host_json();
   bench::print_header("Adaptive sharding",
                       "contention controller vs static single-stripe "
                       "objects, sim (cpus=4) + live structures");
@@ -346,7 +347,8 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream os(out_path);
-  os << "{\n  \"bench\": \"shard_adaptive\",\n  \"sim\": {\n"
+  os << "{\n  \"bench\": \"shard_adaptive\",\n  \"host\": "
+     << host << ",\n  \"sim\": {\n"
      << "    \"cpus\": 4, \"tasks\": " << ts.tasks.size()
      << ", \"objects\": " << ts.object_count << ",\n"
      << "    \"static\": {\"ops\": " << sim_static.ops

@@ -327,6 +327,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const std::string host = bench::host_json();
   bench::print_header(
       "Service soak",
       "batched lane ingest vs seed submit path; open-loop soak with "
@@ -412,7 +413,8 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream os(out_path);
-  os << "{\n  \"bench\": \"soak_service\",\n  \"tiny\": "
+  os << "{\n  \"bench\": \"soak_service\",\n  \"host\": "
+     << host << ",\n  \"tiny\": "
      << (tiny ? "true" : "false") << ",\n  \"ingest\": {\n"
      << "    \"seed_ns_per_job\": " << rates.seed_ns
      << ", \"spawn_join_ns\": " << rates.spawn_ns

@@ -28,9 +28,10 @@
 #      (latency_histogram_test, timer_wheel_test, service_test),
 #   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
 #      objects × tasks contention matrix for every kind × impl combo,
-#      a shard_adaptive smoke (adaptive-sharding invariants live), and
-#      two 3 s perfbench sim-sweep runs (seeds 1 and 7) whose exit
-#      codes carry the benchmark's correctness gates.
+#      a shard_adaptive smoke (adaptive-sharding invariants live), a
+#      soak_service smoke, the full placement_sweep certification
+#      grid, and two 3 s perfbench sim-sweep runs (seeds 1 and 7)
+#      whose exit codes carry the benchmark's correctness gates.
 #
 # Stages 1 and 2 also run the cross-substrate validation bench
 # (ext_executor_validation --tiny): real executor runs under each
@@ -99,21 +100,16 @@ SOAK_OUT=$(./build-o2/bench/soak_service --tiny \
       --out build-o2/BENCH_soak_smoke.json)
 echo "$SOAK_OUT" | tail -n 2
 echo "$SOAK_OUT" | grep -q 'soak_service: all checks ok'
-# Multiprocessor certification smoke: every (cpus, impl, substrate)
-# heatmap cell must sit under its analysis::mp bound — the bench exits
-# non-zero on any violation; the pinned line catches truncated sweeps.
-MPB_OUT=$(./build-o2/bench/mp_bounds --tiny \
-      --out build-o2/BENCH_mp_bounds_smoke.json)
-echo "$MPB_OUT" | tail -n 2
-echo "$MPB_OUT" | grep -q 'mp_bounds: all checks ok'
-# Placement smoke: every placement's certificate must be violation-free
-# and the partitioned bounds at least as tight as the global ones with
-# a strictly tighter cell per (cpus, impl); exits non-zero on any
-# violation, the pinned line catches truncated sweeps.
-PLACE_OUT=$(./build-o2/bench/placement_sweep --tiny \
+# Multiprocessor certification, full grid (cpus 1/2/4 x five impls x
+# three placements, both substrates): every heatmap cell must sit under
+# its analysis::mp bound and the partitioned bounds no looser than the
+# global ones, with a strictly tighter cell per (cpus, impl); exits
+# non-zero on any violation, the pinned count catches truncated grids.
+PLACE_OUT=$(./build-o2/bench/placement_sweep \
       --out build-o2/BENCH_placement_smoke.json)
-echo "$PLACE_OUT" | tail -n 2
-echo "$PLACE_OUT" | grep -q 'placement_sweep: all checks ok'
+echo "$PLACE_OUT" | tail -n 3
+echo "$PLACE_OUT" | grep -q \
+      'placement_sweep: all checks ok (70 certificates, 0 violations)'
 # Perfbench gates: perfbench/ builds src/ from this checkout (Release,
 # into .bench_build/ or $CARGO_TARGET_DIR) and a short sim-sweep exits
 # non-zero unless the frozen-reference RUA replay, the Theorem 2 retry

@@ -626,6 +626,17 @@ TEST(PlacementAnalysis, SeparatedTasksDropFromEachOthersBounds) {
   const auto b_g = analysis::mp::blocking_job_bound(ts, 0, 0, mx, global);
   const auto b_p = analysis::mp::blocking_job_bound(ts, 0, 0, mx, part);
   EXPECT_LT(b_p, b_g);
+  // The time bounds price the same separation: strictly tighter spin
+  // time (unordered mutex and FIFO MCS) and retry time.
+  const auto model = runtime::CostModel::flat(usec(1), usec(2));
+  for (const ObjectSpec& lock :
+       {mx, ObjectSpec{ObjectKind::kQueue, ObjectImpl::kMcs}}) {
+    EXPECT_LT(
+        analysis::mp::spin_block_time_bound(ts, 0, 0, lock, model, part),
+        analysis::mp::spin_block_time_bound(ts, 0, 0, lock, model, global));
+  }
+  EXPECT_LT(analysis::mp::retry_time_bound(ts, 0, 0, lf, model, part),
+            analysis::mp::retry_time_bound(ts, 0, 0, lf, model, global));
   // Fully separated accessors: the conflicting-jobs term shrinks, and
   // from task 0's viewpoint only task 0 itself can touch its instance.
   EXPECT_LT(analysis::mp::conflicting_jobs(ts, 0, 0, part, lf),
