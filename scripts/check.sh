@@ -31,7 +31,8 @@
 #      a shard_adaptive smoke (adaptive-sharding invariants live), a
 #      soak_service smoke, the full placement_sweep certification
 #      grid, and two 3 s perfbench sim-sweep runs (seeds 1 and 7)
-#      whose exit codes carry the benchmark's correctness gates.
+#      whose exit codes carry the benchmark's correctness gates and
+#      whose first-pass digests are pinned.
 #
 # Stages 1 and 2 also run the cross-substrate validation bench
 # (ext_executor_validation --tiny): real executor runs under each
@@ -114,7 +115,13 @@ echo "$PLACE_OUT" | grep -q \
 # into .bench_build/ or $CARGO_TARGET_DIR) and a short sim-sweep exits
 # non-zero unless the frozen-reference RUA replay, the Theorem 2 retry
 # bound and the every-cell-ran-jobs gates hold; seed 7 replays a second
-# arrival tape.  svc-overload stays out: it runs 4 busy threads.
-python3 perfbench/run.py --workload sim-sweep --seed 1 --seconds 3 --trace 0
-python3 perfbench/run.py --workload sim-sweep --seed 7 --seconds 3 --trace 0
+# arrival tape.  The replay runs on the same simulator and cannot see a
+# simulator-side change in the outcomes, so the greps pin each seed's
+# first-pass digest.  svc-overload stays out: it runs 4 busy threads.
+python3 perfbench/run.py --workload sim-sweep --seed 1 --seconds 3 --trace 0 \
+      | tee build-o2/sweep_seed1.log
+grep -q 'first-pass digest 96b37ae84bf99500' build-o2/sweep_seed1.log
+python3 perfbench/run.py --workload sim-sweep --seed 7 --seconds 3 --trace 0 \
+      | tee build-o2/sweep_seed7.log
+grep -q 'first-pass digest 8d24adae6fe38b16' build-o2/sweep_seed7.log
 echo "OK: ASan+TSan clean, tier-1 green twice, bench smokes passed"

@@ -25,7 +25,8 @@
 // and only then pays for chains.  A view with no blocked job — every
 // lock-free view, and most lock-based ones (a job is blocked only while
 // it waits on a lock) — takes the lock-free steps directly: one PUD per
-// job, one sort, one ECF insertion and feasibility test per job.  The
+// job, one sort, and per job a feasibility test at its ECF index that
+// inserts the job only if it passes (nothing is ever erased).  The
 // id map, the CSR chains, the position index and the undo log exist
 // only for a lock-based view with at least one blocked job.  Both paths
 // charge the modelled `ops` of the naive algorithm (rua_reference.hpp)
@@ -35,7 +36,7 @@
 //
 // The hot path is *allocation-free in steady state*: all scratch lives
 // in a caller-owned RuaWorkspace whose buffers retain capacity across
-// build_into calls, and the feasibility pass restarts from a maintained
+// build_into calls, and the feasibility test restarts from a maintained
 // prefix-sum watermark instead of the head of the schedule.
 #pragma once
 

@@ -107,6 +107,11 @@ struct Simulator::Impl {
   // acquisition, so a placement migration mid-hold still releases the
   // instance actually held.
   std::vector<std::int32_t> held_inst_;
+  // Per job: its entry in the scheduler's view.  Its remaining estimate
+  // is recomputed at the next reschedule only when stale_ says the job
+  // made progress or handled a milestone since the last one.
+  std::vector<sched::SchedJob> view_of_;
+  std::vector<char> stale_;
   std::vector<JobId> alive;  // id order
   std::vector<Time> run_start_on;   // per CPU: instant its job (re)starts
   // Per CPU: its job's next milestone (t = kTimeNever if none), not in q.
@@ -409,6 +414,11 @@ struct Simulator::Impl {
     attempt_len_[static_cast<std::size_t>(j.id)] = len;
   }
 
+  /// `id`'s remaining estimate must be recomputed at the next
+  /// reschedule: it ran or is the event's job.  (An aborted job never
+  /// rejoins the view: it is retired or runs its handler in front.)
+  void mark_stale(JobId id) { stale_[static_cast<std::size_t>(id)] = 1; }
+
   runtime::ContentionCell& ccell(ObjectId o, TaskId t) {
     return report.contention.at(o, t);
   }
@@ -507,6 +517,7 @@ struct Simulator::Impl {
       const Time from =
           std::max(run_start_on[static_cast<std::size_t>(c)], last_sync);
       if (t <= from) continue;
+      mark_stale(id);
       const Time delta = t - from;
       report.cpu_busy[static_cast<std::size_t>(c)] += delta;
       if (cfg.record_slices) record_slice(id, j.task, c, from, t);
@@ -564,14 +575,12 @@ struct Simulator::Impl {
         pass.add_front(id, j.task);
         continue;
       }
-      sched::SchedJob sj;
-      sj.id = j.id;
-      sj.arrival = j.arrival;
-      sj.critical = j.critical_abs;
-      sj.remaining = remaining_estimate(j);
-      sj.tuf = params_of(j).tuf.get();
+      sched::SchedJob& sj = view_of_[static_cast<std::size_t>(id)];
+      if (stale_[static_cast<std::size_t>(id)]) {
+        stale_[static_cast<std::size_t>(id)] = 0;
+        sj.remaining = remaining_estimate(j);
+      }
       sj.waits_on = j.state == JobState::kBlocked ? j.waits_on : kNoJob;
-      sj.task = j.task;
       pass.add(sj);
     }
 
@@ -646,6 +655,10 @@ struct Simulator::Impl {
     jobs.push_back(j);
     attempt_len_.push_back(0);
     held_inst_.push_back(0);
+    view_of_.push_back({.id = j.id, .arrival = j.arrival,
+                        .critical = j.critical_abs, .tuf = p.tuf.get(),
+                        .task = j.task});
+    stale_.push_back(1);
     reschedule();
   }
 
@@ -759,6 +772,7 @@ struct Simulator::Impl {
 
   void handle_milestone(JobId id, MsKind ms) {
     LFRT_CHECK(pass.cpu_of(id) >= 0);
+    mark_stale(id);
     Job& j = job(id);
     const TaskParams& p = params_of(j);
 
@@ -1019,6 +1033,8 @@ struct Simulator::Impl {
     jobs.reserve(total_arrivals);
     attempt_len_.reserve(total_arrivals);
     held_inst_.reserve(total_arrivals);
+    view_of_.reserve(total_arrivals);
+    stale_.reserve(total_arrivals);
 
     if (controller)
       q.push(Event{cfg.controller.epoch, 0, next_seq++, EvKind::kController});

@@ -120,11 +120,16 @@ TEST(Executor, EdfOrdersCompletions) {
   Executor ex(edf);
   std::vector<int> order;
   std::mutex order_mu;
+  // Bodies hold at checkpoints until the third submit has landed, so
+  // EDF sees all three jobs before any of them can complete, however
+  // late a descheduled submitting thread gets back.
+  std::atomic<bool> all_submitted{false};
   auto make = [&](int tag, Time critical) {
     RtJob job;
     job.tuf = make_step_tuf(10.0, critical);
     job.expected_exec = msec(2);
     job.body = [&, tag](JobContext& ctx) {
+      while (!all_submitted.load()) ctx.checkpoint();
       spin_quanta(ctx, 20, std::chrono::microseconds(100));
       std::lock_guard<std::mutex> g(order_mu);
       order.push_back(tag);
@@ -135,6 +140,7 @@ TEST(Executor, EdfOrdersCompletions) {
   ex.submit(make(2, msec(900)));
   ex.submit(make(1, msec(600)));
   ex.submit(make(0, msec(300)));
+  all_submitted.store(true);
   const auto rep = ex.shutdown();
   ASSERT_EQ(rep.completed, 3);
   ASSERT_EQ(order.size(), 3u);

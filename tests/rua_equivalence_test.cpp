@@ -8,7 +8,9 @@
 // side of the optimized scheduler's switch between the chain-free path
 // and the dependency-chain path.  Two fixed views at n = 64 and 256 —
 // independent jobs and one long chain — cover the job counts the
-// random sweep does not reach.
+// random sweep does not reach.  A third case feeds every scheduler
+// the same views shuffled and reversed: results must not depend on
+// view order.
 //
 // One workspace and one ScheduleResult are reused across every
 // iteration, so the sweep also stresses the capacity-retention
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sched/rua.hpp"
@@ -176,6 +179,67 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
     const ScheduleResult ref_out = ref->build(g.jobs, now);
     opt->build_into(g.jobs, now, ws.get(), opt_out);
     expect_identical(ref_out, opt_out, seed, iter);
+  }
+}
+
+/// Schedule, dispatch, rejections (in order) and ops of `got` equal
+/// `want`'s: everything a caller reads that cannot depend on view order.
+void expect_same_outcome(const ScheduleResult& want, const ScheduleResult& got,
+                         std::uint64_t seed, int iter, const char* what) {
+  ASSERT_EQ(want.schedule, got.schedule) << what << " seed " << seed
+                                         << " iter " << iter;
+  ASSERT_EQ(want.dispatch, got.dispatch) << what << " seed " << seed
+                                         << " iter " << iter;
+  ASSERT_EQ(want.rejected, got.rejected) << what << " seed " << seed
+                                         << " iter " << iter;
+  ASSERT_EQ(want.ops, got.ops) << what << " seed " << seed << " iter "
+                               << iter;
+}
+
+TEST_P(RuaEquivalenceTest, ResultsDoNotDependOnViewOrder) {
+  // The PUD order is strict and total, ECF ties follow it and chains
+  // follow ids, so permuting the view must change nothing a caller
+  // reads — on the chain-free path and on the chain path, for the
+  // optimized scheduler and the reference alike.  Cyclic views are left
+  // out: the deadlock detector breaks a tie between equally dense
+  // cycle members (two expired step TUFs, say) by walk order, which
+  // follows the view.
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed ^ 0x0DDBA11ULL);
+  const RuaScheduler opt_lf(Sharing::kLockFree);
+  const RuaScheduler opt_lb(Sharing::kLockBased, /*detect_deadlocks=*/true);
+  const RuaReferenceScheduler ref_lf(Sharing::kLockFree);
+  const RuaReferenceScheduler ref_lb(Sharing::kLockBased,
+                                     /*detect_deadlocks=*/true);
+  const auto ws = opt_lf.make_workspace();
+  ScheduleResult opt_out;
+
+  for (int iter = 0; iter < 300; ++iter) {
+    const int n = static_cast<int>(rng.uniform(1, 24));
+    const Time now = usec(rng.uniform(0, 50));
+    const DepShape shapes[] = {DepShape::kNone, DepShape::kNone,
+                               DepShape::kOneBlocked, DepShape::kForest};
+    const DepShape shape = shapes[iter % 4];
+    const bool lock_free = iter % 4 == 0;
+    const RuaScheduler& opt = lock_free ? opt_lf : opt_lb;
+    const RuaReferenceScheduler& ref = lock_free ? ref_lf : ref_lb;
+
+    const Generated g = generate(rng, n, shape);
+    std::vector<SchedJob> shuffled = g.jobs;
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1],
+                shuffled[static_cast<std::size_t>(
+                    rng.uniform(0, static_cast<std::int64_t>(i) - 1))]);
+    const std::vector<SchedJob> reversed(g.jobs.rbegin(), g.jobs.rend());
+
+    const ScheduleResult want = ref.build(g.jobs, now);
+    const std::vector<SchedJob>* views[] = {&g.jobs, &shuffled, &reversed};
+    for (const auto* view : views) {
+      expect_same_outcome(want, ref.build(*view, now), seed, iter,
+                          "reference");
+      opt.build_into(*view, now, ws.get(), opt_out);
+      expect_same_outcome(want, opt_out, seed, iter, "optimized");
+    }
   }
 }
 

@@ -469,6 +469,77 @@ TEST(SimPin, ControllerEpochsFourCpus) {
                              1119, 17788284834513527258u});
 }
 
+// The two pins below were captured before the simulator cached each
+// job's scheduler-view entry.  Besides the running jobs, they reach
+// every path that changes a job's view entry: the controller's
+// re-ready loop, lock requests and wake-ups; abort handlers add jobs
+// that leave the view for the abort front.
+
+/// Lock-based sharing under clustered placement with per-cluster mutex
+/// queues (scope_objects), and a controller that spreads the hot
+/// objects' accessors across the clusters.  All tasks start in cluster
+/// 0, so the first hot epoch moves some of them, and the moved tasks'
+/// blocked jobs are re-readied to re-request on their new cluster's
+/// instance.  `abort_handler_time` > 0 adds abort handlers that take a
+/// CPU ahead of the schedule.
+sim::SimReport run_lock_based_controller(Time abort_handler_time) {
+  workload::WorkloadSpec spec;
+  spec.task_count = 8;
+  spec.object_count = 2;
+  spec.accesses_per_job = 4;
+  spec.avg_exec = usec(200);
+  spec.load = 3.0;
+  spec.tuf_class = workload::TufClass::kStep;
+  spec.seed = 9;
+  TaskSet ts = workload::make_task_set(spec);
+  for (auto& t : ts.tasks) t.abort_handler_time = abort_handler_time;
+
+  sim::SimConfig cfg;
+  cfg.mode = sim::ShareMode::kLockBased;
+  cfg.objects = runtime::uniform_objects(ts.object_count,
+                                         runtime::ObjectKind::kQueue,
+                                         runtime::ObjectImpl::kMutex);
+  cfg.lock_access_time = usec(20);
+  cfg.sched_ns_per_op = 5.0;
+  cfg.controller.epoch = usec(500);
+  cfg.controller.steer_min_retries = 1;
+  cfg.controller.place = true;
+  cfg.dispatch.placement.policy = sched::PlacementPolicy::kClustered;
+  cfg.dispatch.placement.cpu_cluster = {0, 0, 1, 1};
+  cfg.dispatch.placement.task_affinity.assign(8, 0);
+  cfg.dispatch.placement.scope_objects = true;
+  cfg.cpu_count = 4;
+  cfg.horizon = max_window(ts) * 6;
+  const sched::RuaScheduler rua(sched::Sharing::kLockBased);
+  sim::Simulator s(ts, rua, cfg);
+  s.seed_arrivals(3000);
+  return s.run();
+}
+
+TEST(SimPin, LockBasedControllerReReadiesBlockedJobs) {
+  const sim::SimReport r = run_lock_based_controller(0);
+  EXPECT_GT(r.placement_moves.size(), 0u);
+  EXPECT_GT(r.total_blockings, 0);
+  EXPECT_EQ(r.controller_epochs, 9);
+  EXPECT_EQ(r.placement_moves.size(), 32u);
+  expect_eq(event_fingerprint(r),
+            EventFingerprint{{55, 33, 22, 0, 30, 33, 437, 23870, 0, 59, 9389120,
+                              0.69298550960995864},
+                             1005, 6743656581098715691u});
+}
+
+TEST(SimPin, LockBasedControllerAbortHandlers) {
+  const sim::SimReport r = run_lock_based_controller(usec(40));
+  EXPECT_GT(r.placement_moves.size(), 0u);
+  EXPECT_GT(r.total_blockings, 0);
+  EXPECT_EQ(r.controller_epochs, 9);
+  EXPECT_EQ(r.placement_moves.size(), 33u);
+  expect_eq(event_fingerprint(r),
+            EventFingerprint{{55, 30, 25, 0, 30, 52, 443, 25025, 0, 59, 8688103,
+                              0.63860778151602804},
+                             1082, 6743656581098715691u});
+}
+
 /// FNV-1a over every execution slice and each CPU's busy time.  Slices
 /// are digested in their merged per-CPU form: contiguous stretches of
 /// one job on one CPU count as one, however many events cut them.
