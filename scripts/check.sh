@@ -68,8 +68,9 @@ cmake --build build-tsan -j "$JOBS" \
                latency_histogram_test timer_wheel_test service_test \
                analysis_mp_test cost_model_test report_json_test \
                placement_test ext_executor_validation
+# The suite regex lives in one file, which CI's TSan job reads too.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(ExpThreadPool|ExpParallelMap|ExpSweep|ExpThreads|Determinism|ConcurrentBuild|MsQueue|TreiberStack|SpscRing|NodePool|TaggedRef|Sweep/AbaHammerTest|NbwBuffer|Snapshot|FourSlot|WaitFreeSwmr|ExecutorStorm|ExecutorShutdownRace|ExecutorMultiCpu|SharedObject|Zoo/SharedObjectAllCombos|ObjectRegistryTest|LockZoo/(Ticket|Anderson|Mcs)|LockedWrappers|ReaderWriterKinds/ExecObjects|ExecObjectsLockBased|ExecObjectsMixed|ShardedQueue|ShardedStack|EliminationArray|SharedObjectSharded|LiveController|LatencyHistogram|TimerWheel|Service|AnalysisMpBounds|AnalysisMpStrict|AnalysisMpSaturate|AnalysisMpCertify|AccessCostArithmetic|CostModelTable|CostModelFlatIdentity|CalibrationCache|ReportJson|ObjectSpecJson|Placement(Select|Sim|Controller|Analysis|Executor|Json)?)\.'
+      -R "$(cat scripts/tsan_suites.txt)"
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=1 \
       --out build-tsan/BENCH_xval_smoke.json
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=4 \

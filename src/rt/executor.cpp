@@ -55,8 +55,7 @@ struct Executor::Impl {
   // slab's size is the run's peak backlog, not its job count.  `live`
   // holds the admitted-but-not-terminal jobs in id order: admission
   // appends (ids only grow), finalize erases, and lookups binary-search
-  // it, so a pass builds its view in the same order run to run and
-  // nothing here grows with the ids a long service hands out.
+  // it, so nothing here grows with the ids a long service hands out.
   std::deque<JobRec> slab;
   std::vector<JobRec*> free_recs;
   std::vector<JobRec*> live;
@@ -88,7 +87,10 @@ struct Executor::Impl {
   runtime::TimerWheel<JobId> abort_wheel{kWheelGranularity, kWheelSlots};
 
   // The scheduling pass, shared with the simulator.  Its per-CPU
-  // occupancy is the one record of which job holds which slot.
+  // occupancy is the one record of which job holds which slot.  Its
+  // view holds the live jobs that are not aborting, in id order:
+  // admit inserts, mark_aborting and finalize erase.  Abort handlers
+  // run off-CPU, so the pass has no front.
   sched::SchedulingPass pass;
   // Gauge of workers currently inside job bodies; feeds the report's
   // max_concurrency_observed high-water mark.
@@ -198,6 +200,13 @@ struct Executor::Impl {
     report.cpu_busy[static_cast<std::size_t>(c)] += t - r.last_dispatch;
   }
 
+  // The job's remaining execution estimate at `t`, for the pass's view.
+  Time remaining(const JobRec& r, Time t) const {
+    Time elapsed = r.ran_for;
+    if (r.dispatched()) elapsed += t - r.last_dispatch;
+    return std::max<Time>(1, r.spec.expected_exec - elapsed);
+  }
+
   // Releases the job's CPU slot (if any) outside a pass: the job is
   // terminal or aborting.
   void vacate_cpu(JobRec& r, Time t) {
@@ -266,6 +275,10 @@ struct Executor::Impl {
     live.push_back(r);
     report.peak_live_records = std::max(
         report.peak_live_records, static_cast<std::int64_t>(live.size()));
+    pass.insert({.id = id, .arrival = arrival,
+                 .critical = r->acct.critical_abs,
+                 .remaining = remaining(*r, arrival),
+                 .tuf = r->spec.tuf.get(), .task = r->spec.task});
     abort_wheel.schedule(r->acct.critical_abs, id);
     return id;
   }
@@ -276,6 +289,7 @@ struct Executor::Impl {
   // not touch it again.
   void finalize(JobRec& r, bool completed, Time t) {
     leave_body(r);
+    if (!r.aborting) pass.erase(r.acct.id);
     vacate_cpu(r, t);
     r.acct.exec_actual = r.ran_for;
     if (completed) {
@@ -309,6 +323,7 @@ struct Executor::Impl {
       return;
     }
     r.aborting = true;
+    pass.erase(r.acct.id);
     vacate_cpu(r, t);
     if (!r.bound) bind_worker(r);
     worker_cv.notify_all();  // parked workers observe and throw
@@ -455,27 +470,15 @@ struct Executor::Impl {
         mark_aborting(*r, t);
       });
 
-      // Hand the pass the pending jobs (live is id-ordered, so ties
-      // break identically run to run).  Abort handlers run off-CPU, so
-      // aborting jobs are left out and the pass has no front.
-      pass.begin();
-      for (JobRec* r : live) {
-        if (r->aborting) continue;
-        sched::SchedJob sj;
-        sj.id = r->acct.id;
-        sj.arrival = r->acct.arrival;
-        sj.critical = r->acct.critical_abs;
-        Time elapsed = r->ran_for;
-        if (r->dispatched()) elapsed += t - r->last_dispatch;
-        sj.remaining = std::max<Time>(1, r->spec.expected_exec - elapsed);
-        sj.tuf = r->spec.tuf.get();
-        sj.task = r->spec.task;
-        pass.add(sj);
-      }
-
       if (stopping && live.empty() && lanes_empty()) return;
 
-      report.sched_ops += pass.build(t).ops;
+      // The pass refreshes the estimates of the jobs the last dispatch
+      // left on a CPU; a job whose stint ended at that dispatch already
+      // holds its final estimate (end_stint moved the same elapsed time
+      // into ran_for).
+      report.sched_ops +=
+          pass.build(t, [&](JobId id) { return remaining(*find_live(id), t); })
+              .ops;
       ++report.sched_invocations;
       const auto& decisions = pass.dispatch();
       for (const auto& d : decisions) {

@@ -120,7 +120,9 @@ void RuaReferenceScheduler::build_into(const std::vector<SchedJob>& jobs,
         }
         if (cur != kNpos && on_path[cur]) {
           // Found a cycle starting at `cur`: abort the member that
-          // would contribute the least utility per remaining time.
+          // would contribute the least utility per remaining time, the
+          // lower id on a tie (so the pick does not follow view order,
+          // and a cycle of members with no remaining time still has one).
           std::size_t victim = kNpos;
           double worst = std::numeric_limits<double>::infinity();
           for (auto it = std::find(path.begin(), path.end(), cur);
@@ -131,7 +133,8 @@ void RuaReferenceScheduler::build_into(const std::vector<SchedJob>& jobs,
                     ? j.tuf->utility(now + j.remaining - j.arrival) /
                           static_cast<double>(j.remaining)
                     : std::numeric_limits<double>::infinity();
-            if (density < worst) {
+            if (victim == kNpos || density < worst ||
+                (density == worst && j.id < jobs[victim].id)) {
               worst = density;
               victim = *it;
             }

@@ -20,9 +20,10 @@
 
 namespace lfrt::sched {
 
-/// Immutable projection of one pending job, rebuilt at each scheduling
-/// event (dependencies and remaining-time estimates change dynamically —
-/// paper, Section 3.4).
+/// Projection of one pending job, as the scheduler sees it at a
+/// scheduling event (dependencies and remaining-time estimates change
+/// dynamically — paper, Section 3.4; SchedulingPass keeps these current
+/// across events).
 struct SchedJob {
   JobId id = kNoJob;
   Time arrival = 0;

@@ -93,7 +93,7 @@ struct Simulator::Impl {
   Time now = 0;
   // Dense job slab: JobId IS the index.  Ids are handed out sequentially
   // from 0 and a job is never destroyed mid-run (retire only drops it
-  // from `alive`), so the slab stays id-ordered and lookups are O(1)
+  // from the pass), so the slab stays id-ordered and lookups are O(1)
   // array indexing instead of hashing.  run() reserves the full arrival
   // count up front, so steady-state arrivals never reallocate — but no
   // Job& is ever held across an insertion anyway.
@@ -107,12 +107,6 @@ struct Simulator::Impl {
   // acquisition, so a placement migration mid-hold still releases the
   // instance actually held.
   std::vector<std::int32_t> held_inst_;
-  // Per job: its entry in the scheduler's view.  Its remaining estimate
-  // is recomputed at the next reschedule only when stale_ says the job
-  // made progress or handled a milestone since the last one.
-  std::vector<sched::SchedJob> view_of_;
-  std::vector<char> stale_;
-  std::vector<JobId> alive;  // id order
   std::vector<Time> run_start_on;   // per CPU: instant its job (re)starts
   // Per CPU: its job's next milestone (t = kTimeNever if none), not in q.
   std::vector<Milestone> milestone_on;
@@ -152,7 +146,9 @@ struct Simulator::Impl {
   // dispatch identically.  It owns the per-CPU occupancy, the live
   // placement and the reused scheduler scratch, so the pass that runs
   // at every arrival, departure and (lock-based) lock/unlock request
-  // performs no heap allocation in steady state.
+  // performs no heap allocation in steady state.  Its view holds the
+  // pending jobs (alive and not aborting) in id order and its front the
+  // jobs running abort handlers; the handlers below edit both in place.
   sched::SchedulingPass pass;
   std::ostringstream trace_os;  // reused trace formatting buffer
 
@@ -370,9 +366,11 @@ struct Simulator::Impl {
   std::int64_t contenders_on(ObjectId o, JobId self) const {
     const std::int32_t inst = lock_inst(o, job(self).task);
     std::int64_t n = 0;
-    for (JobId id : alive) {
-      if (id == self) continue;
-      const Job& other = job(id);
+    // A job running its abort handler is out of the view; it never
+    // contends (it is neither in an access nor blocked).
+    for (const sched::SchedJob& sj : pass.view()) {
+      if (sj.id == self) continue;
+      const Job& other = job(sj.id);
       if (other.access_object == o &&
           (other.in_access || other.state == JobState::kBlocked) &&
           lock_inst(o, other.task) == inst)
@@ -413,11 +411,6 @@ struct Simulator::Impl {
   void set_attempt_len(const Job& j, Time len) {
     attempt_len_[static_cast<std::size_t>(j.id)] = len;
   }
-
-  /// `id`'s remaining estimate must be recomputed at the next
-  /// reschedule: it ran or is the event's job.  (An aborted job never
-  /// rejoins the view: it is retired or runs its handler in front.)
-  void mark_stale(JobId id) { stale_[static_cast<std::size_t>(id)] = 1; }
 
   runtime::ContentionCell& ccell(ObjectId o, TaskId t) {
     return report.contention.at(o, t);
@@ -517,7 +510,6 @@ struct Simulator::Impl {
       const Time from =
           std::max(run_start_on[static_cast<std::size_t>(c)], last_sync);
       if (t <= from) continue;
-      mark_stale(id);
       const Time delta = t - from;
       report.cpu_busy[static_cast<std::size_t>(c)] += delta;
       if (cfg.record_slices) record_slice(id, j.task, c, from, t);
@@ -566,25 +558,8 @@ struct Simulator::Impl {
   /// event: arrivals, departures (completion/abort), and — lock-based
   /// only — lock and unlock requests.
   void reschedule() {
-    pass.begin();
-    for (JobId id : alive) {
-      const Job& j = job(id);
-      if (j.state == JobState::kAborting) {
-        // Abort handlers execute immediately at the highest eligibility
-        // (Section 3.5); they are not the scheduler's to order.
-        pass.add_front(id, j.task);
-        continue;
-      }
-      sched::SchedJob& sj = view_of_[static_cast<std::size_t>(id)];
-      if (stale_[static_cast<std::size_t>(id)]) {
-        stale_[static_cast<std::size_t>(id)] = 0;
-        sj.remaining = remaining_estimate(j);
-      }
-      sj.waits_on = j.state == JobState::kBlocked ? j.waits_on : kNoJob;
-      pass.add(sj);
-    }
-
-    const sched::ScheduleResult& res = pass.build(now);
+    const sched::ScheduleResult& res = pass.build(
+        now, [this](JobId id) { return remaining_estimate(job(id)); });
     ++report.sched_invocations;
     report.sched_ops += res.ops;
     const Time overhead = static_cast<Time>(
@@ -650,15 +625,13 @@ struct Simulator::Impl {
     }
     trace("arrival task=", task_id, " job=", j.id);
     q.push(Event{j.critical_abs, 1, next_seq++, EvKind::kExpiry, j.id});
-    alive.push_back(j.id);
     LFRT_CHECK(j.id == static_cast<JobId>(jobs.size()));
     jobs.push_back(j);
     attempt_len_.push_back(0);
     held_inst_.push_back(0);
-    view_of_.push_back({.id = j.id, .arrival = j.arrival,
-                        .critical = j.critical_abs, .tuf = p.tuf.get(),
-                        .task = j.task});
-    stale_.push_back(1);
+    pass.insert({.id = j.id, .arrival = j.arrival, .critical = j.critical_abs,
+                 .remaining = remaining_estimate(j), .tuf = p.tuf.get(),
+                 .task = j.task});
     reschedule();
   }
 
@@ -668,14 +641,18 @@ struct Simulator::Impl {
   /// re-block).  Instance-precise: a waiter whose task sits in another
   /// cluster waits on a different structure and stays blocked.
   void wake_waiters_on(ObjectId obj, std::int32_t inst) {
-    for (JobId id : alive) {
-      Job& w = job(id);
-      if (w.state == JobState::kBlocked && w.access_object == obj &&
-          lock_inst(obj, w.task) == inst) {
-        w.waits_on = kNoJob;
-        w.state = JobState::kReady;
-      }
+    for (const sched::SchedJob& sj : pass.view()) {
+      if (sj.runnable()) continue;  // blocked <=> waits in the view
+      Job& w = job(sj.id);
+      if (w.access_object == obj && lock_inst(obj, w.task) == inst) wake(w);
     }
+  }
+
+  /// A blocked job turns ready; it re-requests its lock when dispatched.
+  void wake(Job& w) {
+    w.waits_on = kNoJob;
+    w.state = JobState::kReady;
+    pass.set_waits_on(w.id, kNoJob);
   }
 
   /// A lock request by `j` on instance `inst` of `obj` — a scheduling
@@ -695,6 +672,7 @@ struct Simulator::Impl {
     }
     j.state = JobState::kBlocked;
     j.waits_on = hs.front();
+    pass.set_waits_on(j.id, j.waits_on);
     j.access_object = obj;
     ++j.blockings;
     ++report.total_blockings;
@@ -737,7 +715,7 @@ struct Simulator::Impl {
   }
 
   void retire(JobId id) {
-    alive.erase(std::remove(alive.begin(), alive.end(), id), alive.end());
+    pass.erase(id);
     pass.vacate(id);
   }
 
@@ -757,7 +735,10 @@ struct Simulator::Impl {
     } else {
       j.state = JobState::kAborting;
       j.handler_done = 0;
-      // It re-enters the CPU via the abort-priority dispatch path.
+      // It re-enters the CPU via the abort-priority dispatch path:
+      // handlers execute immediately at the highest eligibility
+      // (Section 3.5) and are not the scheduler's to order.
+      pass.to_front(j.id, j.task);
       pass.vacate(j.id);
     }
   }
@@ -772,7 +753,6 @@ struct Simulator::Impl {
 
   void handle_milestone(JobId id, MsKind ms) {
     LFRT_CHECK(pass.cpu_of(id) >= 0);
-    mark_stale(id);
     Job& j = job(id);
     const TaskParams& p = params_of(j);
 
@@ -974,12 +954,9 @@ struct Simulator::Impl {
       // otherwise never see a wake from the structure they re-request
       // on, so re-ready them here — they re-block if that one is busy
       // too.  Held locks are untouched: release goes to held_inst_.
-      for (JobId id : alive) {
-        Job& w = job(id);
-        if (w.task == mv.task && w.state == JobState::kBlocked) {
-          w.waits_on = kNoJob;
-          w.state = JobState::kReady;
-        }
+      for (const sched::SchedJob& sj : pass.view()) {
+        Job& w = job(sj.id);
+        if (w.task == mv.task && !sj.runnable()) wake(w);
       }
     }
     if (!ep.placement_moves.empty()) pass.set_placement(std::move(placement));
@@ -1033,8 +1010,6 @@ struct Simulator::Impl {
     jobs.reserve(total_arrivals);
     attempt_len_.reserve(total_arrivals);
     held_inst_.reserve(total_arrivals);
-    view_of_.reserve(total_arrivals);
-    stale_.reserve(total_arrivals);
 
     if (controller)
       q.push(Event{cfg.controller.epoch, 0, next_seq++, EvKind::kController});

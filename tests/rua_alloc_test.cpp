@@ -188,13 +188,15 @@ TEST(DispatchSelectorAllocTest, SelectOverGrowingIdsAllocatesNothing) {
   sched::SchedulingPass pass(rua, kCpus, {});
   const View view = make_view(8, /*chained=*/false);
   const auto run_pass = [&](JobId base) {
-    pass.begin();
+    while (!pass.view().empty()) pass.erase(pass.view().back().id);
     for (SchedJob j : view.jobs) {
       j.id += base;
       j.task = task_of(j.id);
-      pass.add(j);
+      pass.insert(j);
     }
-    pass.build(0);
+    pass.build(0, [&](JobId id) {
+      return view.jobs[static_cast<std::size_t>(id - base)].remaining;
+    });
     return pass.dispatch().size();
   };
   run_pass(0);

@@ -10,7 +10,8 @@
 // independent jobs and one long chain — cover the job counts the
 // random sweep does not reach.  A third case feeds every scheduler
 // the same views shuffled and reversed: results must not depend on
-// view order.
+// view order, deadlock cycles included.  A fixed two-job cycle whose
+// members have no remaining time checks the victim pick's tie-break.
 //
 // One workspace and one ScheduleResult are reused across every
 // iteration, so the sweep also stresses the capacity-retention
@@ -18,6 +19,7 @@
 // mismatch on the next job set).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -182,10 +184,17 @@ TEST_P(RuaEquivalenceTest, OptimizedMatchesReferenceOnRandomJobSets) {
   }
 }
 
-/// Schedule, dispatch, rejections (in order) and ops of `got` equal
+/// Schedule, dispatch, rejections (in order), deadlock victims (as a
+/// set: the walk meets cycles in view order) and ops of `got` equal
 /// `want`'s: everything a caller reads that cannot depend on view order.
 void expect_same_outcome(const ScheduleResult& want, const ScheduleResult& got,
                          std::uint64_t seed, int iter, const char* what) {
+  std::vector<JobId> want_victims = want.deadlock_victims;
+  std::vector<JobId> got_victims = got.deadlock_victims;
+  std::sort(want_victims.begin(), want_victims.end());
+  std::sort(got_victims.begin(), got_victims.end());
+  ASSERT_EQ(want_victims, got_victims) << what << " seed " << seed
+                                       << " iter " << iter;
   ASSERT_EQ(want.schedule, got.schedule) << what << " seed " << seed
                                          << " iter " << iter;
   ASSERT_EQ(want.dispatch, got.dispatch) << what << " seed " << seed
@@ -197,13 +206,11 @@ void expect_same_outcome(const ScheduleResult& want, const ScheduleResult& got,
 }
 
 TEST_P(RuaEquivalenceTest, ResultsDoNotDependOnViewOrder) {
-  // The PUD order is strict and total, ECF ties follow it and chains
-  // follow ids, so permuting the view must change nothing a caller
-  // reads — on the chain-free path and on the chain path, for the
-  // optimized scheduler and the reference alike.  Cyclic views are left
-  // out: the deadlock detector breaks a tie between equally dense
-  // cycle members (two expired step TUFs, say) by walk order, which
-  // follows the view.
+  // The PUD order is strict and total, ECF ties follow it, chains
+  // follow ids and a cycle's victim is its least (density, id) member,
+  // so permuting the view must change nothing a caller reads — on the
+  // chain-free path and on the chain path, cycles included, for the
+  // optimized scheduler and the reference alike.
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0x0DDBA11ULL);
   const RuaScheduler opt_lf(Sharing::kLockFree);
@@ -218,9 +225,10 @@ TEST_P(RuaEquivalenceTest, ResultsDoNotDependOnViewOrder) {
     const int n = static_cast<int>(rng.uniform(1, 24));
     const Time now = usec(rng.uniform(0, 50));
     const DepShape shapes[] = {DepShape::kNone, DepShape::kNone,
-                               DepShape::kOneBlocked, DepShape::kForest};
-    const DepShape shape = shapes[iter % 4];
-    const bool lock_free = iter % 4 == 0;
+                               DepShape::kOneBlocked, DepShape::kForest,
+                               DepShape::kCyclic};
+    const DepShape shape = shapes[iter % 5];
+    const bool lock_free = iter % 5 == 0;
     const RuaScheduler& opt = lock_free ? opt_lf : opt_lb;
     const RuaReferenceScheduler& ref = lock_free ? ref_lf : ref_lb;
 
@@ -245,6 +253,30 @@ TEST_P(RuaEquivalenceTest, ResultsDoNotDependOnViewOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RuaEquivalenceTest,
                          ::testing::Values(1u, 42u, 1234u, 987654321u));
+
+TEST(RuaDeadlockVictim, CycleWithNoRemainingTimeAbortsTheLowerId) {
+  // Every member of this cycle has remaining = 0, so every density is
+  // +inf: the victim is the lower id, in either view order.
+  const std::unique_ptr<Tuf> tuf = make_step_tuf(10.0, usec(100));
+  std::vector<SchedJob> cycle(2);
+  for (JobId i = 0; i < 2; ++i) {
+    cycle[static_cast<std::size_t>(i)].id = i;
+    cycle[static_cast<std::size_t>(i)].critical = tuf->critical_time();
+    cycle[static_cast<std::size_t>(i)].remaining = 0;
+    cycle[static_cast<std::size_t>(i)].tuf = tuf.get();
+    cycle[static_cast<std::size_t>(i)].waits_on = 1 - i;
+  }
+  const RuaScheduler opt(Sharing::kLockBased, /*detect_deadlocks=*/true);
+  const RuaReferenceScheduler ref(Sharing::kLockBased,
+                                  /*detect_deadlocks=*/true);
+  const std::vector<SchedJob> reversed(cycle.rbegin(), cycle.rend());
+  const std::vector<SchedJob>* views[] = {&cycle, &reversed};
+  for (const auto* view : views) {
+    const ScheduleResult want = ref.build(*view, 0);
+    EXPECT_EQ(want.deadlock_victims, (std::vector<JobId>{0}));
+    expect_identical(want, opt.build(*view, 0), 0, 0);
+  }
+}
 
 /// n pending jobs with staggered step TUFs; `chained` links each job to
 /// the next in one long dependency chain (the lock-based worst case of
