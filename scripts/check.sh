@@ -23,7 +23,7 @@
 #      across concurrent promote/demote (sharded_object_test,
 #      contention_controller_test), and the service-mode pieces: the
 #      batched SpscRing push_n/pop_n paths (lockfree_test), the
-#      concurrent latency histogram, the sharded timer wheel, and the
+#      concurrent latency histogram, the timer wheel, and the
 #      streaming Service ingest/admission front end
 #      (latency_histogram_test, timer_wheel_test, service_test),
 #   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
@@ -53,7 +53,8 @@ cmake -B build-asan -S . -DLFRT_SANITIZE=address \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 ./build-asan/bench/ext_executor_validation --tiny \
-      --out build-asan/BENCH_xval_smoke.json
+      --out build-asan/BENCH_xval_smoke.json \
+      --report-out build-asan/BENCH_xval_report.json
 
 echo "==> [2/3] thread-sanitizer build + concurrency tests (build-tsan/)"
 cmake -B build-tsan -S . -DLFRT_SANITIZE=thread \
@@ -72,9 +73,11 @@ cmake --build build-tsan -j "$JOBS" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R "$(cat scripts/tsan_suites.txt)"
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=1 \
-      --out build-tsan/BENCH_xval_smoke.json
+      --out build-tsan/BENCH_xval_smoke.json \
+      --report-out build-tsan/BENCH_xval_report.json
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=4 \
-      --out build-tsan/BENCH_xval_smoke_cpu4.json
+      --out build-tsan/BENCH_xval_smoke_cpu4.json \
+      --report-out build-tsan/BENCH_xval_report_cpu4.json
 
 echo "==> [3/3] optimized build + tests + bench smoke (build-o2/)"
 cmake -B build-o2 -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

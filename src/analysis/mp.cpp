@@ -41,17 +41,11 @@ std::int64_t transitions_per_write(ObjectKind kind) {
   return 4;
 }
 
-/// Structure ops per logical access on the executor (each can sight one
-/// stale lag at its start): queue/stack writes are push + pop.
+/// Structure ops per logical write on the executor: queue/stack writes
+/// are push + pop, everything else one op.  Each op can sight one stale
+/// lag at its start and, under a lock-based impl, takes the lock once.
 std::int64_t structure_ops_per_write(ObjectKind kind) {
-  return kind == ObjectKind::kQueue || kind == ObjectKind::kStack ? 2 : 1;
-}
-
-/// Lock acquisitions per logical access under a lock-based impl
-/// (executor): queue/stack writes lock once for the insert and once for
-/// the remove; everything else locks once.
-std::int64_t holds_per_write(ObjectKind kind) {
-  return kind == ObjectKind::kQueue || kind == ObjectKind::kStack ? 2 : 1;
+  return runtime::is_scoped_kind(kind) ? 2 : 1;
 }
 
 /// Per-job hold count of task j on object o (write and read accesses;
@@ -62,7 +56,7 @@ std::int64_t holds_per_job(const TaskSet& ts, TaskId j, ObjectId o,
   std::int64_t holds = 0;
   for (const AccessSpec& a : t.accesses) {
     if (a.object != o) continue;
-    holds = sat_add(holds, a.write ? holds_per_write(kind) : 1);
+    holds = sat_add(holds, a.write ? structure_ops_per_write(kind) : 1);
   }
   for (const LockSpan& s : t.spans)
     if (s.object == o) holds = sat_add(holds, 1);
@@ -135,9 +129,8 @@ bool co_dispatch_prevented(const MpOptions& opt, TaskId i, TaskId j) {
 
 bool placement_separated(const MpOptions& opt, const ObjectSpec& spec,
                          TaskId i, TaskId j) {
-  if (!runtime::is_scoped_kind(spec.kind)) return false;
   const sched::Placement& p = opt.placement;
-  if (p.global() || !p.scope_objects) return false;
+  if (!runtime::is_scoped(spec, p)) return false;
   const std::int32_t ci = p.cluster_of_task(i);
   const std::int32_t cj = p.cluster_of_task(j);
   return ci >= 0 && cj >= 0 && ci != cj;

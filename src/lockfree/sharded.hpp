@@ -124,10 +124,6 @@ class ShardedQueue {
     return sum;
   }
 
-  const runtime::ObjectStats& stats_of(std::int32_t shard) const {
-    return stripes_[shard].q->stats();
-  }
-
  private:
   struct alignas(support::kCacheLineSize) Stripe {
     std::optional<MsQueue<T>> q;
@@ -193,10 +189,6 @@ class ShardedStack {
     for (std::int32_t s = 0; s < kMaxShards; ++s)
       sum += stripes_[s].st->stats().counts();
     return sum;
-  }
-
-  const runtime::ObjectStats& stats_of(std::int32_t shard) const {
-    return stripes_[shard].st->stats();
   }
 
  private:

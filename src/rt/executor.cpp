@@ -33,6 +33,12 @@ void validate(const RtJob& job) {
 constexpr Time kWheelGranularity = usec(512);
 constexpr std::size_t kWheelSlots = 2048;
 
+// Workers started beyond cpu_count (see the pool notes in
+// executor.hpp), and the most entries one lane drain burst moves (the
+// lane is re-polled until empty regardless).
+constexpr int kWorkerReserve = 2;
+constexpr std::size_t kIngestBatch = 256;
+
 }  // namespace
 
 struct Executor::Impl {
@@ -154,17 +160,13 @@ struct Executor::Impl {
 
   Impl(const sched::Scheduler& sch, ExecutorConfig config)
       : cfg(config), pass(sch, config.cpu_count, config.dispatch) {
-    LFRT_CHECK_MSG(cfg.worker_reserve >= 0,
-                   "ExecutorConfig::worker_reserve must be >= 0");
-    LFRT_CHECK_MSG(cfg.ingest_batch >= 1,
-                   "ExecutorConfig::ingest_batch must be >= 1");
     report.cpu_count = cfg.cpu_count;
     report.cpu_busy.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
     report.cpu_jobs.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
-    scratch.resize(cfg.ingest_batch);
+    scratch.resize(kIngestBatch);
     {
       std::lock_guard<std::mutex> lock(mu);
-      for (int i = 0; i < cfg.cpu_count + cfg.worker_reserve; ++i)
+      for (int i = 0; i < cfg.cpu_count + kWorkerReserve; ++i)
         start_worker();
     }
     sched_thread = std::thread([this] { scheduler_loop(); });
@@ -374,7 +376,7 @@ struct Executor::Impl {
     for (auto& lane : lanes) {
       for (;;) {
         const std::size_t n =
-            lane->ring_.pop_n(scratch.data(), cfg.ingest_batch);
+            lane->ring_.pop_n(scratch.data(), kIngestBatch);
         if (n == 0) break;
         for (std::size_t i = 0; i < n; ++i) {
           IngestLane::Entry& e = scratch[i];
@@ -397,7 +399,7 @@ struct Executor::Impl {
           admit(std::move(e.job), e.offered_ns);
         }
         processed += n;
-        if (n < cfg.ingest_batch) break;
+        if (n < kIngestBatch) break;
       }
     }
     if (processed > 0) sched_cv.notify_all();  // a blocked drain() re-checks

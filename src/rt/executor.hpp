@@ -98,25 +98,12 @@ struct ExecutorConfig {
   /// direction).
   int cpu_count = 1;
 
-  /// Extra worker threads started beyond cpu_count.  The pool is sized
-  /// cpu_count + worker_reserve at construction and grows on demand
-  /// only when every pooled worker is pinned by a preempted-mid-body
-  /// job (cooperative preemption parks a body on its thread, so a
-  /// worker cannot be recycled until its job reaches a terminal
-  /// state).  It never shrinks during a run.
-  int worker_reserve = 2;
-
   /// Keep per-job terminal records for ExecutorReport::jobs.  Default
   /// on (the cross-validation benches read them).  A streaming service
   /// pushing millions of jobs turns this off: aggregate tallies,
   /// percentile histograms, and the heatmap still populate, but the
   /// O(jobs) record vector does not.
   bool retain_job_records = true;
-
-  /// Max entries the scheduling thread moves from one ingest lane per
-  /// drain burst (scratch-buffer size; the lane is re-polled until
-  /// empty regardless).
-  std::size_t ingest_batch = 256;
 
   /// Backpressure cap on jobs admitted-but-not-yet-terminal.  When a
   /// lane-ingested job would push the live count past this, it is
@@ -219,8 +206,9 @@ struct ExecutorReport : runtime::RunReport {
 /// state (a preempted body parks ON its thread — its stack is its
 /// state — so workers never migrate mid-job and per-job retry
 /// attribution via the thread-local ScopedAccessSink stays exact).
-/// The pool starts at cpu_count + worker_reserve and grows only when
-/// every worker is pinned by a preempted job; terminal JobRecs are
+/// The pool starts at cpu_count + 2 and grows only when every worker
+/// is pinned by a preempted job (cooperative preemption parks a body
+/// on its thread); it never shrinks during a run.  Terminal JobRecs are
 /// recycled through a free list immediately, so a long run's memory is
 /// bounded by its peak backlog, not its job count.
 ///

@@ -158,12 +158,9 @@ class ContentionControllerCore {
     shards_.reserve(specs_.size());
     floor_.reserve(specs_.size());
     for (const ObjectSpec& s : specs_) {
-      const bool shardable = s.impl == ObjectImpl::kLockFree &&
-                             (s.kind == ObjectKind::kQueue ||
-                              s.kind == ObjectKind::kStack);
-      shards_.push_back(shardable ? clamp_shards(s.shards) : 1);
-      floor_.push_back(shardable ? clamp_shards(s.shards) : 1);
-      adaptive_.push_back(shardable && s.adapt);
+      shards_.push_back(initial_shards(s));
+      floor_.push_back(initial_shards(s));
+      adaptive_.push_back(is_adaptive(s));
     }
     idle_epochs_.assign(specs_.size(), 0);
   }
@@ -259,11 +256,8 @@ class ContentionControllerCore {
           d_hot += (live.at(o, t).retries - prev_.at(o, t).retries) +
                    (live.at(o, t).blockings - prev_.at(o, t).blockings);
         if (d_hot < cfg_.steer_min_retries) continue;
-        const ObjectKind kind = specs_[oi].kind;
-        const bool scoped =
-            kind == ObjectKind::kQueue || kind == ObjectKind::kStack;
         const TaskId writer = oi < writer_of_.size() ? writer_of_[oi] : -1;
-        if (scoped) {
+        if (is_scoped_kind(specs_[oi].kind)) {
           std::size_t idx = 0;
           for (TaskId t : accessors_of_[oi]) {
             const std::int32_t target = static_cast<std::int32_t>(

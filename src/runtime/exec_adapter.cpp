@@ -93,36 +93,14 @@ rt::ExecutorReport run_on_executor(const TaskSet& ts,
   for (const auto& t : ts.tasks) max_task = std::max(max_task, t.id);
   const std::vector<ObjectSpec> specs = resolve_object_specs(ts, cfg);
 
-  // Placement lowering: under a non-global policy with object scoping,
-  // queue/stack objects get one instance per cluster and each task is
-  // routed to its cluster's instance — the executor-side twin of the
-  // simulator's scoped conflict model.
+  // Placement lowering: the set resolves the placement's object
+  // scoping itself (object_scope), the same rule the simulator applies.
   sched::Placement placement = cfg.dispatch.placement;
   placement.validate(cfg.cpu_count, static_cast<std::size_t>(max_task + 1));
   placement.task_affinity.resize(static_cast<std::size_t>(max_task + 1), -1);
-  const std::int32_t cluster_count = placement.cluster_count(cfg.cpu_count);
-  bool any_adapt = false;
-  bool any_scoped_kind = false;
-  for (const ObjectSpec& s : specs) {
-    any_adapt = any_adapt || s.adapt;
-    any_scoped_kind = any_scoped_kind || is_scoped_kind(s.kind);
-  }
-  const bool scoped =
-      !placement.global() && placement.scope_objects && any_scoped_kind;
-  std::vector<std::int32_t> task_inst(static_cast<std::size_t>(max_task + 1),
-                                      0);
-  if (scoped) {
-    LFRT_CHECK_MSG(!any_adapt,
-                   "scoped placement excludes adaptive sharding");
-    for (TaskId t = 0; t <= max_task; ++t) {
-      const std::int32_t c = placement.cluster_of_task(t);
-      task_inst[static_cast<std::size_t>(t)] =
-          (c >= 0 && c < cluster_count) ? c : 0;
-    }
-  }
   auto objs = std::make_shared<SharedObjectSet>(
       specs, static_cast<std::int32_t>(max_task + 1), cfg.queue_capacity,
-      scoped ? cluster_count : 1, task_inst);
+      placement, cfg.cpu_count);
 
   // Flatten the per-task traces into one tape, keeping only jobs whose
   // critical time falls within the horizon (the simulator's counting
@@ -155,10 +133,12 @@ rt::ExecutorReport run_on_executor(const TaskSet& ts,
   // quiescent.
   const bool want_place = cfg.controller.place && !placement.global();
   std::unique_ptr<ContentionController> controller;
-  if (any_adapt || want_place) {
+  if (std::any_of(specs.begin(), specs.end(), is_adaptive) || want_place) {
     controller =
         std::make_unique<ContentionController>(cfg.controller, objs.get(), &ex);
-    if (want_place) controller->enable_placement(placement, cluster_count, ts);
+    if (want_place)
+      controller->enable_placement(placement,
+                                   placement.cluster_count(cfg.cpu_count), ts);
     controller->start();
   }
 

@@ -56,11 +56,11 @@ struct ExecConfig {
   /// Dispatch-layer options (placement policy + strict groups),
   /// forwarded verbatim into rt::ExecutorConfig::dispatch — the mirror
   /// of SimConfig::dispatch, so one placement statement drives both
-  /// substrates.  Under a non-global placement with scope_objects (the
-  /// default), queue/stack objects are instantiated once per cluster in
-  /// the SharedObjectSet and each task accesses its own cluster's
-  /// instance; buffer/snapshot stay shared.  Scoped instancing excludes
-  /// adaptive sharding (ObjectSpec::adapt).
+  /// substrates.  Object scoping follows runtime::object_scope, the
+  /// rule the simulator applies too: under a non-global placement with
+  /// scope_objects (the default), queue/stack objects are instantiated
+  /// once per cluster and each task accesses its own cluster's
+  /// instance; buffer/snapshot stay shared.
   sched::DispatchOptions dispatch;
 
   /// Arrival seeding, mirroring bench::make_cell_sim: per-task RNG
@@ -78,8 +78,8 @@ struct ExecConfig {
   /// count).
   std::size_t queue_capacity = 1024;
 
-  /// Contention-controller tuning, engaged when any ObjectSpec in
-  /// `objects` sets adapt: run_on_executor then runs a live
+  /// Contention-controller tuning, engaged when any object in `objects`
+  /// is adaptive (runtime::is_adaptive): run_on_executor then runs a live
   /// runtime::ContentionController thread for the duration of the tape,
   /// promoting/demoting shard counts on the real sharded structures and
   /// steering the executor's dispatch by the epoch conflict vector.

@@ -11,14 +11,19 @@
 // queue; lockbased/locks.hpp).  The simulator uses the impl to pick its
 // per-object cost/blocking model (runtime/cost_model.hpp); the executor
 // adapter (runtime::SharedObject) instantiates the matching real
-// structure.  Deliberately header-light: sim::SimConfig includes this
-// without dragging in src/lockfree / src/lockbased.
+// structure.  The two object-layer rules both substrates apply —
+// which objects stripe, and which get one instance per cluster — are
+// stated here once.  Deliberately header-light: sim::SimConfig
+// includes this without dragging in src/lockfree / src/lockbased.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sched/placement.hpp"
+#include "support/check.hpp"
 
 namespace lfrt::runtime {
 
@@ -38,6 +43,14 @@ enum class ObjectImpl : std::uint8_t {
   kAnderson,  ///< FIFO array spin lock — padded per-waiter slots
   kMcs,       ///< FIFO queue spin lock — local spin, one-line handoff
 };
+
+/// The occupancy-balanced kinds: a write is an insert + remove pair and
+/// accesses carry no cross-task data dependency, so a per-cluster
+/// instance is semantically equivalent to the shared one.
+/// Buffer/snapshot are single-writer broadcast state.
+inline constexpr bool is_scoped_kind(ObjectKind kind) {
+  return kind == ObjectKind::kQueue || kind == ObjectKind::kStack;
+}
 
 /// Number of distinct ObjectImpl mechanisms.
 inline constexpr std::size_t kObjectImplCount = 5;
@@ -85,17 +98,17 @@ struct ObjectSpec {
   ObjectKind kind = ObjectKind::kQueue;
   ObjectImpl impl = ObjectImpl::kLockFree;
 
-  /// Initial stripe count of a lock-free queue/stack (clamped to
-  /// [1, kMaxObjectShards]; other kinds ignore it): accesses spread
+  /// Initial stripe count of a shardable object (clamped to
+  /// [1, kMaxObjectShards]; see is_shardable): accesses spread
   /// over `shards` independent structures by task affinity, so tasks
   /// landing on different stripes stop invalidating each other's CAS
   /// windows.  1 — the default — is the unsharded structure.
   std::int32_t shards = 1;
 
-  /// Opt this object into the online ContentionController: its stripe
-  /// count is then promoted/demoted at run time from the live
+  /// Opt a shardable object into the online ContentionController: its
+  /// stripe count is then promoted/demoted at run time from the live
   /// ContentionMatrix (shards above is the starting point and the
-  /// demotion floor).
+  /// demotion floor).  Ignored on every other object.
   bool adapt = false;
 
   friend bool operator==(const ObjectSpec&, const ObjectSpec&) = default;
@@ -106,6 +119,72 @@ inline std::int32_t clamp_shards(std::int32_t shards) {
   if (shards < 1) return 1;
   if (shards > kMaxObjectShards) return kMaxObjectShards;
   return shards;
+}
+
+// --- Rule 1, shardable: only a lock-free queue/stack stripes.  Its
+// `shards` is the initial stripe count and `adapt` hands that count to
+// the ContentionController; every other object has one stripe and
+// ignores both fields. ---
+
+inline constexpr bool is_shardable(const ObjectSpec& s) {
+  return !is_lock_based(s.impl) && is_scoped_kind(s.kind);
+}
+inline std::int32_t initial_shards(const ObjectSpec& s) {
+  return is_shardable(s) ? clamp_shards(s.shards) : 1;
+}
+inline constexpr bool is_adaptive(const ObjectSpec& s) {
+  return is_shardable(s) && s.adapt;
+}
+
+// --- Rule 2, scoped instancing: under a non-global placement with
+// scope_objects, every scoped-kind object is instantiated once per
+// cluster and a task's accesses go to its own cluster's instance
+// (instance 0 when unplaced), so tasks in disjoint clusters touch
+// disjoint structures. ---
+
+inline bool is_scoped(const ObjectSpec& s, const sched::Placement& p) {
+  return !p.global() && p.scope_objects && is_scoped_kind(s.kind);
+}
+
+/// Rule 2 resolved for one run (see object_scope).
+struct ObjectScope {
+  std::int32_t clusters = 1;
+  std::vector<std::int32_t> instances;  ///< per object: clusters or 1
+  bool any = false;                     ///< some object is scoped
+
+  /// Instance a task's accesses to a scoped object land on under the
+  /// live placement `p`.
+  std::int32_t task_instance(const sched::Placement& p, TaskId t) const {
+    const std::int32_t c = p.cluster_of_task(t);
+    return c >= 0 && c < clusters ? c : 0;
+  }
+};
+
+/// Resolve rule 2 for (specs, placement, cpu_count), rejecting what
+/// neither substrate models: the simulator reuses an object's stripe
+/// index space for its cluster instances, so a run that scopes any
+/// object allows at most kMaxObjectShards clusters, no adaptive object,
+/// and no static stripes on a scoped object.
+inline ObjectScope object_scope(const std::vector<ObjectSpec>& specs,
+                                 const sched::Placement& p, int cpu_count) {
+  ObjectScope scope;
+  scope.clusters = p.cluster_count(cpu_count);
+  for (const ObjectSpec& s : specs) {
+    scope.any = scope.any || is_scoped(s, p);
+    scope.instances.push_back(is_scoped(s, p) ? scope.clusters : 1);
+  }
+  if (!scope.any) return scope;
+  LFRT_CHECK_MSG(scope.clusters <= kMaxObjectShards,
+                 "scoped placement supports at most kMaxObjectShards "
+                 "clusters");
+  for (const ObjectSpec& s : specs) {
+    LFRT_CHECK_MSG(!is_adaptive(s),
+                   "scoped placement excludes adaptive sharding");
+    LFRT_CHECK_MSG(!is_scoped(s, p) || initial_shards(s) == 1,
+                   "scoped placement excludes static sharding on "
+                   "queue/stack objects");
+  }
+  return scope;
 }
 
 // to_string for both enums is exhaustive by construction: no default

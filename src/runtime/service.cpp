@@ -14,6 +14,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Pacing-wheel shape of drive_open_loop: firing is per-entry exact, so
+// the granularity only bounds how many slots one advance() walks.
+constexpr Time kWheelGranularity = usec(64);
+constexpr std::size_t kWheelSlots = 4096;
+
 // Sliding-window utility-budget gate (the UAM ⟨l, a, W⟩ window as an
 // enforcement).  Touched only by the executor's scheduling thread via
 // the admission filter, so plain members suffice; `t` is monotone
@@ -116,10 +121,8 @@ std::int64_t Service::drive_open_loop(int lane,
     LFRT_CHECK_MSG(s.make_job != nullptr, "ArrivalStream needs make_job");
 
   // One wheel per driver call: the caller thread owns the pacing, so
-  // concurrent drivers on different lanes never share timer state
-  // (the sharded-wheel layout, one shard per lane, with the shard
-  // lifetime scoped to the drive).
-  TimerWheel<std::size_t> wheel(im.cfg.wheel_granularity, im.cfg.wheel_slots);
+  // concurrent drivers on different lanes never share timer state.
+  TimerWheel<std::size_t> wheel(kWheelGranularity, kWheelSlots);
   const Clock::time_point epoch = Clock::now();
   const auto now_ns = [&] {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -

@@ -42,7 +42,7 @@ class Scheduler;
 namespace lfrt::runtime {
 
 struct ServiceConfig {
-  /// Executor shape (cpu_count, worker_reserve, ...).  Note
+  /// Executor shape (cpu_count, dispatch, ...).  Note
   /// retain_job_records defaults to FALSE here, the opposite of the
   /// raw executor: a service pushing millions of jobs must not grow an
   /// O(jobs) record vector.  max_live_jobs defaults to 8192 as the
@@ -64,10 +64,6 @@ struct ServiceConfig {
   double window_utility_budget = 0.0;
   Time admission_window = 0;
   std::shared_ptr<const Tuf> degraded_tuf;
-
-  /// Timer-wheel shape for drive_open_loop pacing.
-  Time wheel_granularity = usec(64);
-  std::size_t wheel_slots = 4096;
 };
 
 /// Aggregate outcome of a Service run: the executor report plus

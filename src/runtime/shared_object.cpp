@@ -12,77 +12,7 @@
 
 namespace lfrt::runtime {
 
-namespace {
-
-// --- lock-based adapters: Locked*<int, Lock> behind the detail::Lb*
-//     interfaces, one factory switch per kind over the zoo ---
-
-template <typename Lock>
-class QueueAdapter final : public detail::LbQueue {
- public:
-  void enqueue(int v) override { q_.enqueue(v); }
-  std::optional<int> dequeue() override { return q_.dequeue(); }
-  bool empty() const override { return q_.empty(); }
-  const ObjectStats& stats() const override { return q_.stats(); }
-
- private:
-  lockbased::LockedQueue<int, Lock> q_;
-};
-
-template <typename Lock>
-class StackAdapter final : public detail::LbStack {
- public:
-  void push(int v) override { s_.push(v); }
-  std::optional<int> pop() override { return s_.pop(); }
-  bool empty() const override { return s_.empty(); }
-  const ObjectStats& stats() const override { return s_.stats(); }
-
- private:
-  lockbased::LockedStack<int, Lock> s_;
-};
-
-template <typename Lock>
-class BufferAdapter final : public detail::LbBuffer {
- public:
-  void write(int v) override { b_.write(v); }
-  int read() override { return b_.read(); }
-  const ObjectStats& stats() const override { return b_.stats(); }
-
- private:
-  lockbased::LockedBuffer<int, Lock> b_;
-};
-
-template <typename Lock>
-class SnapshotAdapter final : public detail::LbSnapshot {
- public:
-  void update(std::size_t i, int v) override { s_.update(i, v); }
-  std::array<int, kSnapshotSegments> scan() override { return s_.scan(); }
-  const ObjectStats& stats() const override { return s_.stats(); }
-
- private:
-  lockbased::LockedSnapshot<int, kSnapshotSegments, Lock> s_;
-};
-
-// `make` builds the impl-selected instantiation of one kind's adapter.
-// Adapter<Lock> is passed as a template-template so the switch over the
-// zoo is written once, not once per kind.
-template <template <typename> class Adapter, typename Interface>
-std::unique_ptr<Interface> make(ObjectImpl impl) {
-  switch (impl) {
-    case ObjectImpl::kMutex:
-      return std::make_unique<Adapter<std::mutex>>();
-    case ObjectImpl::kTicket:
-      return std::make_unique<Adapter<lockbased::TicketLock>>();
-    case ObjectImpl::kAnderson:
-      return std::make_unique<Adapter<lockbased::AndersonArrayLock>>();
-    case ObjectImpl::kMcs:
-      return std::make_unique<Adapter<lockbased::McsLock>>();
-    case ObjectImpl::kLockFree:
-      break;  // caller forked on is_lock_based already
-  }
-  LFRT_CHECK_MSG(false, "make: not a lock-based impl");
-  return nullptr;
-}
+namespace detail {
 
 inline std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -91,23 +21,204 @@ inline std::int64_t now_ns() {
 }
 
 /// Accumulates structure-op time across the access, excluding whatever
-/// runs between segments (the checkpoint), and records one sample.
+/// runs between segments (the checkpoint).
 class LatencyProbe {
  public:
-  explicit LatencyProbe(LatencyHistogram* hist) : hist_(hist) {}
-
   void begin() { start_ = now_ns(); }
   void end() { elapsed_ += now_ns() - start_; }
-
-  void commit() {
-    if (hist_ != nullptr) hist_->record(elapsed_);
-  }
+  std::int64_t elapsed() const { return elapsed_; }
 
  private:
-  LatencyHistogram* hist_;
   std::int64_t start_ = 0;
   std::int64_t elapsed_ = 0;
 };
+
+using Checkpoint = std::function<void()>;
+
+/// One object's structure and the structure operations of one access.
+/// `hint` is the accessing task (>= 0): the stripe affinity of a
+/// sharded queue/stack and the snapshot writer's segment.
+class Shape {
+ public:
+  virtual ~Shape() = default;
+  virtual void access(AccessOp op, std::int32_t hint, int v,
+                      const Checkpoint& checkpoint, LatencyProbe& probe) = 0;
+  virtual ObjectCounts counts() const = 0;
+  virtual std::int32_t shards() const { return 1; }
+  virtual void set_shards(std::int32_t) {}
+  virtual std::int64_t eliminations() const { return 0; }
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::Checkpoint;
+using detail::LatencyProbe;
+using detail::Shape;
+
+/// Sharded queue/stack: the lock-free structures; they take the stripe
+/// hint and aggregate their stripes' counters themselves.
+template <typename S>
+concept Sharded = requires(S& s) { s.set_active(1); };
+
+/// Queue/stack adapter over ShardedQueue/ShardedStack or
+/// LockedQueue/LockedStack.  A write inserts, exposes the mid-access
+/// checkpoint, then removes; a throw from the checkpoint removes first,
+/// so occupancy stays balanced without an abort handler.  A read probes
+/// emptiness: a constant-time observation that still exercises the
+/// structure's shared state under interference.
+template <typename S>
+class PairShape final : public Shape {
+ public:
+  template <typename... Args>
+  explicit PairShape(Args... args) : s_(args...) {}
+
+  void access(AccessOp op, std::int32_t hint, int v,
+              const Checkpoint& checkpoint, LatencyProbe& probe) override {
+    probe.begin();
+    if (op == AccessOp::kRead) {
+      (void)s_.empty();
+      probe.end();
+      checkpoint();
+      return;
+    }
+    insert(v, hint);
+    probe.end();
+    try {
+      checkpoint();
+    } catch (...) {
+      remove(hint);
+      throw;
+    }
+    probe.begin();
+    remove(hint);
+    probe.end();
+  }
+
+  ObjectCounts counts() const override {
+    if constexpr (Sharded<S>) return s_.counts();
+    else return s_.stats().counts();
+  }
+  std::int32_t shards() const override {
+    if constexpr (Sharded<S>) return s_.active();
+    else return 1;
+  }
+  void set_shards(std::int32_t k) override {
+    if constexpr (Sharded<S>) s_.set_active(k);
+  }
+  std::int64_t eliminations() const override {
+    if constexpr (requires { s_.eliminations(); }) return s_.eliminations();
+    else return 0;
+  }
+
+ private:
+  // Full-pool inserts are dropped; capacity is sized so balanced
+  // accesses never fill it.
+  void insert(int v, std::int32_t hint) {
+    if constexpr (Sharded<S>) (void)s_.push(v, hint);
+    else if constexpr (requires { s_.enqueue(v); }) s_.enqueue(v);
+    else s_.push(v);
+  }
+  void remove(std::int32_t hint) {
+    if constexpr (Sharded<S>) (void)s_.pop(hint);
+    else if constexpr (requires { s_.dequeue(); }) (void)s_.dequeue();
+    else (void)s_.pop();
+  }
+
+  S s_;
+};
+
+/// Buffer/snapshot adapter over NbwBuffer/AtomicSnapshot or
+/// LockedBuffer/LockedSnapshot.  The operation is indivisible; the
+/// checkpoint runs after it with nothing to roll back.  Writers hold
+/// `WriterLock` across the write only, never across the checkpoint.
+template <typename S, typename WriterLock>
+class StateShape final : public Shape {
+ public:
+  void access(AccessOp op, std::int32_t hint, int v,
+              const Checkpoint& checkpoint, LatencyProbe& probe) override {
+    probe.begin();
+    if (op == AccessOp::kWrite) {
+      std::lock_guard<WriterLock> g(writer_mu_);
+      if constexpr (requires { s_.scan(); })
+        s_.update(static_cast<std::size_t>(hint) % kSnapshotSegments, v);
+      else
+        s_.write(v);
+    } else {
+      if constexpr (requires { s_.scan(); }) (void)s_.scan();
+      else (void)s_.read();
+    }
+    probe.end();
+    checkpoint();
+  }
+
+  ObjectCounts counts() const override { return s_.stats().counts(); }
+
+ private:
+  S s_;
+  WriterLock writer_mu_;
+};
+
+/// The lock-based shapes' writer lock: their own lock already
+/// serializes writers.
+struct NoWriterLock {
+  void lock() {}
+  void unlock() {}
+};
+
+/// The four kinds of one mechanism; `pair_args` build the queue/stack.
+template <typename Queue, typename Stack, typename Buffer, typename Snapshot,
+          typename WriterLock, typename... PairArgs>
+std::unique_ptr<Shape> make_kind(ObjectKind kind, PairArgs... pair_args) {
+  switch (kind) {
+    case ObjectKind::kQueue:
+      return std::make_unique<PairShape<Queue>>(pair_args...);
+    case ObjectKind::kStack:
+      return std::make_unique<PairShape<Stack>>(pair_args...);
+    case ObjectKind::kBuffer:
+      return std::make_unique<StateShape<Buffer, WriterLock>>();
+    case ObjectKind::kSnapshot:
+      return std::make_unique<StateShape<Snapshot, WriterLock>>();
+  }
+  __builtin_unreachable();
+}
+
+template <typename Lock>
+std::unique_ptr<Shape> make_locked(ObjectKind kind) {
+  return make_kind<lockbased::LockedQueue<int, Lock>,
+                   lockbased::LockedStack<int, Lock>,
+                   lockbased::LockedBuffer<int, Lock>,
+                   lockbased::LockedSnapshot<int, kSnapshotSegments, Lock>,
+                   NoWriterLock>(kind);
+}
+
+/// The one factory over (kind, impl).  NBW's and the snapshot's
+/// single-writer preconditions are upheld by a writer mutex when
+/// arbitrary tasks write (even to different segments, so concurrent
+/// jobs of one task can't co-write a segment).  It is deliberately
+/// uncounted: scaffolding for the precondition the paper says is hard
+/// to meet in dynamic systems, not part of the measured protocol.
+std::unique_ptr<Shape> make_shape(const ObjectSpec& spec,
+                                  std::size_t queue_capacity) {
+  switch (spec.impl) {
+    case ObjectImpl::kLockFree:
+      return make_kind<lockfree::ShardedQueue<int>,
+                       lockfree::ShardedStack<int>, lockfree::NbwBuffer<int>,
+                       lockfree::AtomicSnapshot<int, kSnapshotSegments>,
+                       std::mutex>(spec.kind, queue_capacity,
+                                   initial_shards(spec));
+    case ObjectImpl::kMutex:
+      return make_locked<std::mutex>(spec.kind);
+    case ObjectImpl::kTicket:
+      return make_locked<lockbased::TicketLock>(spec.kind);
+    case ObjectImpl::kAnderson:
+      return make_locked<lockbased::AndersonArrayLock>(spec.kind);
+    case ObjectImpl::kMcs:
+      return make_locked<lockbased::McsLock>(spec.kind);
+  }
+  __builtin_unreachable();
+}
 
 }  // namespace
 
@@ -148,171 +259,28 @@ ContentionMatrix ObjectRegistry::to_matrix() const {
 // --- SharedObject ---
 
 SharedObject::SharedObject(ObjectSpec spec, std::size_t queue_capacity)
-    : spec_(spec) {
-  const bool lf = !is_lock_based(spec.impl);
-  switch (spec.kind) {
-    case ObjectKind::kQueue:
-      if (lf)
-        lf_queue_ = std::make_unique<lockfree::ShardedQueue<int>>(
-            queue_capacity, clamp_shards(spec.shards));
-      else
-        lb_queue_ = make<QueueAdapter, detail::LbQueue>(spec.impl);
-      break;
-    case ObjectKind::kStack:
-      if (lf)
-        lf_stack_ = std::make_unique<lockfree::ShardedStack<int>>(
-            queue_capacity, clamp_shards(spec.shards));
-      else
-        lb_stack_ = make<StackAdapter, detail::LbStack>(spec.impl);
-      break;
-    case ObjectKind::kBuffer:
-      if (lf)
-        lf_buffer_ = std::make_unique<lockfree::NbwBuffer<int>>();
-      else
-        lb_buffer_ = make<BufferAdapter, detail::LbBuffer>(spec.impl);
-      break;
-    case ObjectKind::kSnapshot:
-      if (lf)
-        lf_snapshot_ = std::make_unique<
-            lockfree::AtomicSnapshot<int, kSnapshotSegments>>();
-      else
-        lb_snapshot_ = make<SnapshotAdapter, detail::LbSnapshot>(spec.impl);
-      break;
-  }
-}
+    : spec_(spec), shape_(make_shape(spec, queue_capacity)) {}
 
 SharedObject::~SharedObject() = default;
 
-std::int32_t SharedObject::shards() const {
-  if (lf_queue_) return lf_queue_->active();
-  if (lf_stack_) return lf_stack_->active();
-  return 1;
-}
-
-void SharedObject::set_shards(std::int32_t k) {
-  if (lf_queue_) lf_queue_->set_active(k);
-  else if (lf_stack_) lf_stack_->set_active(k);
-  // Every other shape is structurally unsharded: ignore.
-}
-
-ObjectCounts SharedObject::counts() const {
-  if (lf_queue_) return lf_queue_->counts();
-  if (lf_stack_) return lf_stack_->counts();
-  if (lf_buffer_) return lf_buffer_->stats().counts();
-  if (lf_snapshot_) return lf_snapshot_->stats().counts();
-  if (lb_queue_) return lb_queue_->stats().counts();
-  if (lb_stack_) return lb_stack_->stats().counts();
-  if (lb_buffer_) return lb_buffer_->stats().counts();
-  return lb_snapshot_->stats().counts();
-}
-
+std::int32_t SharedObject::shards() const { return shape_->shards(); }
+void SharedObject::set_shards(std::int32_t k) { shape_->set_shards(k); }
+ObjectCounts SharedObject::counts() const { return shape_->counts(); }
 std::int64_t SharedObject::eliminations() const {
-  return lf_stack_ ? lf_stack_->eliminations() : 0;
+  return shape_->eliminations();
 }
 
 void SharedObject::access(AccessOp op, TaskId task, JobId job,
                           const std::function<void()>& checkpoint,
                           AtomicAccessCell* cell) {
   ScopedCellSink sink(cell);
-  const int v = static_cast<int>(job);
   // Stripe affinity: a stable task id maps to a stable stripe while the
   // active count is unchanged, and a write's pop starts on the stripe
   // its push used.
   const std::int32_t hint = task < 0 ? 0 : static_cast<std::int32_t>(task);
-  LatencyProbe probe(&latency_);
-
-  switch (spec_.kind) {
-    case ObjectKind::kQueue:
-    case ObjectKind::kStack: {
-      if (op == AccessOp::kWrite) {
-        // Insert, expose the mid-access abort window, remove.  A throw
-        // from the checkpoint rolls the insert back first, so occupancy
-        // stays balanced without an abort handler.
-        auto push = [&] {
-          // Full-pool inserts are dropped, as the pre-refactor adapter
-          // did; capacity is sized so balanced accesses never fill it.
-          if (lf_queue_) (void)lf_queue_->push(v, hint);
-          else if (lb_queue_) lb_queue_->enqueue(v);
-          else if (lf_stack_) (void)lf_stack_->push(v, hint);
-          else lb_stack_->push(v);
-        };
-        auto pop = [&] {
-          if (lf_queue_) (void)lf_queue_->pop(hint);
-          else if (lb_queue_) (void)lb_queue_->dequeue();
-          else if (lf_stack_) (void)lf_stack_->pop(hint);
-          else (void)lb_stack_->pop();
-        };
-        probe.begin();
-        push();
-        probe.end();
-        try {
-          checkpoint();
-        } catch (...) {
-          pop();
-          throw;
-        }
-        probe.begin();
-        pop();
-        probe.end();
-      } else {
-        // Reads probe emptiness: a constant-time observation that still
-        // exercises the structure's shared state under interference.
-        probe.begin();
-        if (lf_queue_) (void)lf_queue_->empty();
-        else if (lb_queue_) (void)lb_queue_->empty();
-        else if (lf_stack_) (void)lf_stack_->empty();
-        else (void)lb_stack_->empty();
-        probe.end();
-        checkpoint();
-      }
-      break;
-    }
-
-    case ObjectKind::kBuffer: {
-      probe.begin();
-      if (op == AccessOp::kWrite) {
-        if (lf_buffer_) {
-          // Serialize writers to uphold NBW's single-writer
-          // precondition; the guard is released before the checkpoint.
-          std::lock_guard<std::mutex> g(writer_mu_);
-          lf_buffer_->write(v);
-        } else {
-          lb_buffer_->write(v);
-        }
-      } else {
-        if (lf_buffer_) (void)lf_buffer_->read();
-        else (void)lb_buffer_->read();
-      }
-      probe.end();
-      checkpoint();
-      break;
-    }
-
-    case ObjectKind::kSnapshot: {
-      const std::size_t seg =
-          static_cast<std::size_t>(task < 0 ? 0 : task) % kSnapshotSegments;
-      probe.begin();
-      if (op == AccessOp::kWrite) {
-        if (lf_snapshot_) {
-          // Same single-writer scaffolding as the buffer: updates
-          // serialize (even to different segments) so concurrent jobs
-          // of one task can't co-write a segment.
-          std::lock_guard<std::mutex> g(writer_mu_);
-          lf_snapshot_->update(seg, v);
-        } else {
-          lb_snapshot_->update(seg, v);
-        }
-      } else {
-        if (lf_snapshot_) (void)lf_snapshot_->scan();
-        else (void)lb_snapshot_->scan();
-      }
-      probe.end();
-      checkpoint();
-      break;
-    }
-  }
-
-  probe.commit();
+  detail::LatencyProbe probe;
+  shape_->access(op, hint, static_cast<int>(job), checkpoint, probe);
+  latency_.record(probe.elapsed());
   if (cell != nullptr) cell->ops.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -320,37 +288,24 @@ void SharedObject::access(AccessOp op, TaskId task, JobId job,
 
 SharedObjectSet::SharedObjectSet(std::vector<ObjectSpec> specs,
                                  std::int32_t task_count,
-                                 std::size_t queue_capacity)
-    : SharedObjectSet(std::move(specs), task_count, queue_capacity, 1, {}) {}
-
-SharedObjectSet::SharedObjectSet(
-    std::vector<ObjectSpec> specs, std::int32_t task_count,
-    std::size_t queue_capacity, std::int32_t instance_count,
-    const std::vector<std::int32_t>& task_instance)
+                                 std::size_t queue_capacity,
+                                 const sched::Placement& placement,
+                                 int cpu_count)
     : specs_(std::move(specs)),
       task_count_(task_count),
       registry_(static_cast<std::int32_t>(specs_.size()), task_count) {
-  LFRT_CHECK(instance_count >= 1);
-  base_.reserve(specs_.size());
-  inst_count_.reserve(specs_.size());
-  for (const ObjectSpec& s : specs_) {
-    const std::int32_t n = is_scoped_kind(s.kind) ? instance_count : 1;
-    base_.push_back(objects_.size());
-    inst_count_.push_back(n);
-    for (std::int32_t i = 0; i < n; ++i)
-      objects_.push_back(std::make_unique<SharedObject>(s, queue_capacity));
-  }
+  const ObjectScope scope = object_scope(specs_, placement, cpu_count);
+  objects_.resize(specs_.size());
+  for (std::size_t o = 0; o < specs_.size(); ++o)
+    for (std::int32_t i = 0; i < scope.instances[o]; ++i)
+      objects_[o].push_back(
+          std::make_unique<SharedObject>(specs_[o], queue_capacity));
   if (task_count_ > 0) {
     task_instance_ = std::make_unique<std::atomic<std::int32_t>[]>(
         static_cast<std::size_t>(task_count_));
-    for (std::int32_t t = 0; t < task_count_; ++t) {
-      const std::int32_t inst =
-          static_cast<std::size_t>(t) < task_instance.size()
-              ? task_instance[static_cast<std::size_t>(t)]
-              : 0;
+    for (TaskId t = 0; t < task_count_; ++t)
       task_instance_[static_cast<std::size_t>(t)].store(
-          inst, std::memory_order_relaxed);
-    }
+          scope.task_instance(placement, t), std::memory_order_relaxed);
   }
 }
 
@@ -369,31 +324,30 @@ std::int32_t SharedObjectSet::task_instance(TaskId task) const {
 void SharedObjectSet::access(ObjectId o, AccessOp op, TaskId task, JobId job,
                              const std::function<void()>& checkpoint) {
   LFRT_CHECK_MSG(o >= 0 && o < object_count(), "object id out of range");
-  const std::int32_t n = inst_count_[static_cast<std::size_t>(o)];
+  const auto& inst = instances(o);
+  const std::int32_t n = static_cast<std::int32_t>(inst.size());
   // One relaxed read per access: the paired insert+remove of a write
   // can never straddle a migration, so per-instance occupancy stays
   // balanced.
   std::int32_t i = n > 1 ? task_instance(task) : 0;
   if (i < 0 || i >= n) i = 0;
-  instance(o, i)->access(op, task, job, checkpoint, registry_.cell(o, task));
+  inst[static_cast<std::size_t>(i)]->access(op, task, job, checkpoint,
+                                            registry_.cell(o, task));
 }
 
 ObjectCounts SharedObjectSet::counts_of(ObjectId o) const {
   ObjectCounts total;
-  for (std::int32_t i = 0; i < inst_count_[static_cast<std::size_t>(o)]; ++i)
-    total += instance(o, i)->counts();
+  for (const auto& obj : instances(o)) total += obj->counts();
   return total;
 }
 
 void SharedObjectSet::set_shards(ObjectId o, std::int32_t k) {
-  for (std::int32_t i = 0; i < inst_count_[static_cast<std::size_t>(o)]; ++i)
-    instance(o, i)->set_shards(k);
+  for (const auto& obj : instances(o)) obj->set_shards(k);
 }
 
 std::int64_t SharedObjectSet::eliminations_of(ObjectId o) const {
   std::int64_t total = 0;
-  for (std::int32_t i = 0; i < inst_count_[static_cast<std::size_t>(o)]; ++i)
-    total += instance(o, i)->eliminations();
+  for (const auto& obj : instances(o)) total += obj->eliminations();
   return total;
 }
 

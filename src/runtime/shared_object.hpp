@@ -7,9 +7,11 @@
 // {kind, impl}.  Job bodies become object-shape agnostic: the executor
 // adapter lowers an AccessSpec to exactly one call here, and which
 // structure absorbs the interference is a per-object configuration
-// knob, not a fork in the lowering code.
+// knob, not a fork in the lowering code.  One factory builds the
+// structure behind one per-kind adapter whatever the impl, so the
+// lock-free and lock-based paths differ only in the structure.
 //
-// Sharding: lock-free queue/stack objects are instantiated as
+// Sharding: shardable objects (object_spec.hpp) are instantiated as
 // lockfree::ShardedQueue/ShardedStack — up to kMaxObjectShards full
 // stripes behind the same access() surface, with the live stripe count
 // (`set_shards`) flipped at run time by the ContentionController.
@@ -34,81 +36,24 @@
 // checkpoint runs after the operation with nothing to roll back.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "runtime/contention.hpp"
 #include "runtime/latency_histogram.hpp"
 #include "runtime/object_spec.hpp"
 #include "runtime/object_stats.hpp"
+#include "sched/placement.hpp"
 #include "task/task.hpp"
-
-namespace lfrt::lockfree {
-template <typename T>
-class ShardedQueue;
-template <typename T>
-class ShardedStack;
-template <typename T>
-class NbwBuffer;
-template <typename T, std::size_t N>
-class AtomicSnapshot;
-}  // namespace lfrt::lockfree
 
 namespace lfrt::runtime {
 
 namespace detail {
-
-// Type-erased lock-based structures, one small interface per
-// ObjectKind.  The concrete types behind them are the generic wrappers
-// lockbased::Locked{Queue,Stack,Buffer,Snapshot}<int, Lock> — one
-// template instantiation per zoo lock (std::mutex / TicketLock /
-// AndersonArrayLock / McsLock), selected by ObjectImpl in the factories
-// in shared_object.cpp.  Erasure keeps this header free of lockbased
-// includes and keeps SharedObject at four members instead of four
-// members × five impls; the cost is one virtual hop per structure op,
-// identical across impls so it cancels out of every comparison the
-// benches make.
-
-class LbQueue {
- public:
-  virtual ~LbQueue() = default;
-  virtual void enqueue(int v) = 0;
-  virtual std::optional<int> dequeue() = 0;
-  virtual bool empty() const = 0;
-  virtual const ObjectStats& stats() const = 0;
-};
-
-class LbStack {
- public:
-  virtual ~LbStack() = default;
-  virtual void push(int v) = 0;
-  virtual std::optional<int> pop() = 0;
-  virtual bool empty() const = 0;
-  virtual const ObjectStats& stats() const = 0;
-};
-
-class LbBuffer {
- public:
-  virtual ~LbBuffer() = default;
-  virtual void write(int v) = 0;
-  virtual int read() = 0;
-  virtual const ObjectStats& stats() const = 0;
-};
-
-class LbSnapshot {
- public:
-  virtual ~LbSnapshot() = default;
-  virtual void update(std::size_t i, int v) = 0;
-  virtual std::array<int, kSnapshotSegments> scan() = 0;
-  virtual const ObjectStats& stats() const = 0;
-};
-
+// One object's structure behind a uniform access step (shared_object.cpp).
+class Shape;
 }  // namespace detail
 
 /// Direction of one logical access.  Queue/stack: write = insert +
@@ -167,7 +112,7 @@ class SharedObject {
               const std::function<void()>& checkpoint,
               AtomicAccessCell* cell);
 
-  /// Live stripe count: 1 for every shape except lock-free queue/stack,
+  /// Live stripe count: 1 except on a shardable object (is_shardable),
   /// where the ContentionController may promote it up to
   /// kMaxObjectShards.  set_shards on an unshardable object is a no-op
   /// — the controller never has to special-case shapes.
@@ -187,47 +132,21 @@ class SharedObject {
 
  private:
   ObjectSpec spec_;
-
-  // Exactly one of these is non-null, per spec_.  Lock-free shapes are
-  // concrete (the controller pokes stripe counts on them); lock-based
-  // shapes are type-erased over the zoo lock (see detail above).
-  std::unique_ptr<lockfree::ShardedQueue<int>> lf_queue_;
-  std::unique_ptr<lockfree::ShardedStack<int>> lf_stack_;
-  std::unique_ptr<lockfree::NbwBuffer<int>> lf_buffer_;
-  std::unique_ptr<lockfree::AtomicSnapshot<int, kSnapshotSegments>>
-      lf_snapshot_;
-  std::unique_ptr<detail::LbQueue> lb_queue_;
-  std::unique_ptr<detail::LbStack> lb_stack_;
-  std::unique_ptr<detail::LbBuffer> lb_buffer_;
-  std::unique_ptr<detail::LbSnapshot> lb_snapshot_;
-
+  /// The structure the factory picked for spec_: a lock-free one or a
+  /// Locked*<int, Lock>, behind the same per-kind adapter, so every impl
+  /// pays the same one indirect call per access.
+  std::unique_ptr<detail::Shape> shape_;
   LatencyHistogram latency_;
-
-  /// Upholds NBW's and the snapshot's single-writer preconditions when
-  /// arbitrary tasks write: writers serialize here, held only across
-  /// the (wait-free, bounded) write itself — never across a checkpoint.
-  /// Deliberately uncounted: it is scaffolding for the precondition the
-  /// paper says is hard to meet in dynamic systems, not part of the
-  /// measured protocol.
-  std::mutex writer_mu_;
 };
-
-/// The kinds the placement layer scopes per cluster: occupancy-balanced
-/// structures whose accesses carry no cross-task data dependency, so a
-/// per-cluster instance is semantically equivalent and physically
-/// conflict-free across clusters.  Buffer/snapshot are single-writer
-/// broadcast state — never scoped.
-inline bool is_scoped_kind(ObjectKind kind) {
-  return kind == ObjectKind::kQueue || kind == ObjectKind::kStack;
-}
 
 /// The whole universe of one run: objects built from a per-ObjectId
 /// spec list plus the registry that attributes their events.
 ///
-/// Placement instancing: with `instance_count` > 1, every scoped-kind
-/// object (queue/stack — see is_scoped_kind) is instantiated once per
-/// cluster and a task's accesses route to the instance named by the
-/// live `task_instance` map (unmapped / negative = instance 0).  The
+/// Placement instancing: the set resolves `placement` with
+/// object_scope (object_spec.hpp), so under a scoping placement every
+/// scoped-kind object is instantiated once per cluster and a task's
+/// accesses route to the instance named by the live task -> instance
+/// map (seeded with each task's cluster; unmapped = instance 0).  The
 /// map is atomic so the ContentionController can migrate a task's
 /// instance mid-run; an access reads it exactly once, so its paired
 /// insert+remove always lands on one instance and per-instance
@@ -238,10 +157,8 @@ inline bool is_scoped_kind(ObjectKind kind) {
 class SharedObjectSet {
  public:
   SharedObjectSet(std::vector<ObjectSpec> specs, std::int32_t task_count,
-                  std::size_t queue_capacity);
-  SharedObjectSet(std::vector<ObjectSpec> specs, std::int32_t task_count,
-                  std::size_t queue_capacity, std::int32_t instance_count,
-                  const std::vector<std::int32_t>& task_instance);
+                  std::size_t queue_capacity,
+                  const sched::Placement& placement = {}, int cpu_count = 1);
 
   std::int32_t object_count() const {
     return static_cast<std::int32_t>(specs_.size());
@@ -257,7 +174,7 @@ class SharedObjectSet {
 
   /// Physical instances behind logical object `o` (1 unless scoped).
   std::int32_t instances_of(ObjectId o) const {
-    return inst_count_[static_cast<std::size_t>(o)];
+    return static_cast<std::int32_t>(instances(o).size());
   }
 
   /// Live instance routing for `task` (placement migration).  Values
@@ -267,12 +184,12 @@ class SharedObjectSet {
 
   ObjectCounts counts_of(ObjectId o) const;
   std::int32_t shards_of(ObjectId o) const {
-    return instance(o, 0)->shards();
+    return instances(o)[0]->shards();
   }
   void set_shards(ObjectId o, std::int32_t k);
   std::int64_t eliminations_of(ObjectId o) const;
   const LatencyHistogram& latency_of(ObjectId o) const {
-    return instance(o, 0)->latency();
+    return instances(o)[0]->latency();
   }
 
   /// Heatmap snapshot; shard_counts carries each object's live stripe
@@ -280,21 +197,14 @@ class SharedObjectSet {
   ContentionMatrix matrix() const;
 
  private:
-  const SharedObject* instance(ObjectId o, std::int32_t i) const {
-    return objects_[base_[static_cast<std::size_t>(o)] +
-                    static_cast<std::size_t>(i)]
-        .get();
-  }
-  SharedObject* instance(ObjectId o, std::int32_t i) {
-    return objects_[base_[static_cast<std::size_t>(o)] +
-                    static_cast<std::size_t>(i)]
-        .get();
+  const std::vector<std::unique_ptr<SharedObject>>& instances(
+      ObjectId o) const {
+    return objects_[static_cast<std::size_t>(o)];
   }
 
   std::vector<ObjectSpec> specs_;
-  std::vector<std::unique_ptr<SharedObject>> objects_;  ///< flattened
-  std::vector<std::size_t> base_;        ///< o -> first instance index
-  std::vector<std::int32_t> inst_count_; ///< o -> instance count
+  /// o -> its physical instances (one per cluster when scoped).
+  std::vector<std::vector<std::unique_ptr<SharedObject>>> objects_;
   std::int32_t task_count_;
   std::unique_ptr<std::atomic<std::int32_t>[]> task_instance_;
   ObjectRegistry registry_;

@@ -16,15 +16,11 @@
 // firing order is unspecified.
 //
 // TimerWheel is single-threaded (the executor drives one under its
-// scheduler mutex).  ShardedTimerWheel wraps N independent wheels
-// behind per-shard mutexes for multi-producer use — runtime::Service
-// gives each ingest lane its own shard so open-loop arrival drivers
-// never contend on a shared timer structure.
+// scheduler mutex, and runtime::Service's open-loop driver one per
+// call).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -180,69 +176,6 @@ class TimerWheel {
   std::vector<Entry> due_;  ///< advance() scratch, capacity reused
   Time cursor_ = 0;
   std::int64_t count_ = 0;
-};
-
-/// N independent wheels behind per-shard mutexes.  Shards share
-/// nothing — each has its own cursor — so concurrent producers driving
-/// different shards (one per Service ingest lane) never contend.
-template <typename T>
-class ShardedTimerWheel {
- public:
-  ShardedTimerWheel(std::size_t shards, Time granularity, std::size_t slots) {
-    LFRT_CHECK_MSG(shards >= 1, "sharded timer wheel needs >= 1 shard");
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-      shards_.push_back(std::make_unique<Shard>(granularity, slots));
-  }
-
-  std::size_t shard_count() const { return shards_.size(); }
-
-  void schedule(std::size_t shard, Time deadline, T payload) {
-    Shard& s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.wheel.schedule(deadline, std::move(payload));
-  }
-
-  template <typename Fn>
-  std::size_t advance(std::size_t shard, Time now, Fn&& fire) {
-    Shard& s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.wheel.advance(now, std::forward<Fn>(fire));
-  }
-
-  Time next_deadline(std::size_t shard) const {
-    const Shard& s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.wheel.next_deadline();
-  }
-
-  /// Earliest deadline across all shards (kTimeNever when all empty).
-  Time next_deadline_all() const {
-    Time best = kTimeNever;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      const Time d = s->wheel.next_deadline();
-      if (d < best) best = d;
-    }
-    return best;
-  }
-
-  std::int64_t size() const {
-    std::int64_t n = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      n += s->wheel.size();
-    }
-    return n;
-  }
-
- private:
-  struct Shard {
-    Shard(Time granularity, std::size_t slots) : wheel(granularity, slots) {}
-    mutable std::mutex mu;
-    TimerWheel<T> wheel;
-  };
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace lfrt::runtime

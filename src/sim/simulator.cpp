@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "runtime/shared_object.hpp"
 #include "sched/scheduling_pass.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -130,10 +129,10 @@ struct Simulator::Impl {
   // the pre-sharding per-object rule, bit for bit.
   std::vector<Time> last_shard_write;
   std::vector<std::int32_t> shard_count_;  // per-object live stripe count
-  // Cluster topology of the placement (fixed for the run; controller
-  // moves change only task affinities) and the object-scoping switch.
-  std::int32_t cluster_count_ = 1;
-  bool scoped_ = false;  // per-cluster queue/stack instancing in force
+  // Object scoping of the placement (runtime::object_scope; its
+  // cluster count is fixed for the run, controller moves change only
+  // task affinities).
+  runtime::ObjectScope scope_;
   JobId next_job_id = 0;
   std::int64_t next_seq = 0;
   bool ran = false;
@@ -218,7 +217,7 @@ struct Simulator::Impl {
     TaskId max_task = -1;
     for (const auto& t : tasks.tasks) max_task = std::max(max_task, t.id);
     const sched::Placement& placement = pass.placement();
-    cluster_count_ = placement.cluster_count(cfg.cpu_count);
+    scope_ = runtime::object_scope(obj_specs, placement, cfg.cpu_count);
     run_start_on.assign(static_cast<std::size_t>(cfg.cpu_count), 0);
     milestone_on.assign(static_cast<std::size_t>(cfg.cpu_count), {});
     holders.assign(static_cast<std::size_t>(tasks.object_count) *
@@ -232,38 +231,15 @@ struct Simulator::Impl {
                                     runtime::kMaxObjectShards),
                             -1);
     shard_count_.reserve(static_cast<std::size_t>(tasks.object_count));
-    bool any_adapt = false;
-    bool any_scoped_kind = false;
-    for (const auto& s : obj_specs) {
-      const bool shardable =
-          s.impl == runtime::ObjectImpl::kLockFree &&
-          (s.kind == runtime::ObjectKind::kQueue ||
-           s.kind == runtime::ObjectKind::kStack);
-      shard_count_.push_back(shardable ? runtime::clamp_shards(s.shards) : 1);
-      any_adapt = any_adapt || (shardable && s.adapt);
-      any_scoped_kind = any_scoped_kind || runtime::is_scoped_kind(s.kind);
-    }
-    scoped_ = !placement.global() && placement.scope_objects && any_scoped_kind;
-    if (scoped_) {
-      // Per-cluster instancing reuses the per-object stripe index space
-      // (and conflicts with the other decompositions of the same
-      // structure), so the combinations are excluded up front rather
-      // than silently mis-modeled.
-      LFRT_CHECK_MSG(cluster_count_ <= runtime::kMaxObjectShards,
-                     "scoped placement supports at most kMaxObjectShards "
-                     "clusters");
-      LFRT_CHECK_MSG(!any_adapt,
-                     "scoped placement excludes adaptive sharding");
-      for (std::size_t o = 0; o < obj_specs.size(); ++o)
-        if (runtime::is_scoped_kind(obj_specs[o].kind))
-          LFRT_CHECK_MSG(shard_count_[o] == 1,
-                         "scoped placement excludes static sharding on "
-                         "queue/stack objects");
+    for (const auto& s : obj_specs)
+      shard_count_.push_back(runtime::initial_shards(s));
+    if (scope_.any)
       for (const auto& t : tasks.tasks)
         LFRT_CHECK_MSG(t.spans.empty(),
                        "scoped placement excludes nested lock spans");
-    }
     const bool want_place = cfg.controller.place && !placement.global();
+    const bool any_adapt = std::any_of(obj_specs.begin(), obj_specs.end(),
+                                       runtime::is_adaptive);
     if ((any_adapt || want_place) && cfg.mode != ShareMode::kIdeal) {
       LFRT_CHECK_MSG(cfg.controller.epoch > 0,
                      "controller epoch must be positive");
@@ -277,7 +253,7 @@ struct Simulator::Impl {
         for (TaskId t = 0; t <= max_task; ++t)
           clusters[static_cast<std::size_t>(t)] = placement.cluster_of_task(t);
         runtime::ObjectTopology topo(tasks);
-        controller->enable_placement(std::move(clusters), cluster_count_,
+        controller->enable_placement(std::move(clusters), scope_.clusters,
                                      std::move(topo.accessors_of),
                                      std::move(topo.writer_of));
       }
@@ -347,9 +323,8 @@ struct Simulator::Impl {
   /// scoping, else 0 (the legacy single-instance model, bit for bit).
   /// Unplaced tasks use instance 0.
   std::int32_t lock_inst(ObjectId o, TaskId t) const {
-    if (!scoped_ || !runtime::is_scoped_kind(kind_of(o))) return 0;
-    const std::int32_t c = pass.placement().cluster_of_task(t);
-    return (c >= 0 && c < cluster_count_) ? c : 0;
+    if (scope_.instances[static_cast<std::size_t>(o)] == 1) return 0;
+    return scope_.task_instance(pass.placement(), t);
   }
 
   /// Flattened holder-set index of (object, instance).
@@ -816,7 +791,7 @@ struct Simulator::Impl {
           const auto oi = static_cast<std::size_t>(j.access_object);
           const runtime::ObjectKind kind = kind_of(j.access_object);
           const std::int32_t stripe =
-              (scoped_ && runtime::is_scoped_kind(kind))
+              scope_.instances[oi] > 1
                   ? lock_inst(j.access_object, j.task)
                   : shard_of(j.access_object, j.task);
           const auto si =

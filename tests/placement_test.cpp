@@ -690,6 +690,62 @@ TEST(PlacementAnalysis, OptionsFromSelectorCarryThePlacement) {
   EXPECT_EQ(mp.placement.cluster_of_task(1), 1);
 }
 
+// ---- Both substrates: one object-scoping rule ----------------------
+
+/// Each universe runs under a scoped partitioned placement on the
+/// simulator and on the executor, and both must give the same verdict:
+/// stripes of any kind on a scoped object are rejected, while `adapt`
+/// on an object that cannot stripe is ignored.
+TEST(PlacementScope, BothSubstratesAcceptTheSameUniverses) {
+  struct Row {
+    const char* what;
+    ObjectSpec spec;
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"adaptive lock-free queue",
+       {ObjectKind::kQueue, ObjectImpl::kLockFree, 1, /*adapt=*/true}, false},
+      {"two static stripes on a lock-free queue",
+       {ObjectKind::kQueue, ObjectImpl::kLockFree, 2, /*adapt=*/false}, false},
+      {"adaptive mutex queue",
+       {ObjectKind::kQueue, ObjectImpl::kMutex, 1, /*adapt=*/true}, true},
+  };
+  const auto accepts = [](const auto& run) {
+    try {
+      run();
+      return true;
+    } catch (const InvariantViolation&) {
+      return false;
+    }
+  };
+  const TaskSet ts = conflict_pair();
+  const sched::EdfScheduler edf;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    const bool sim_accepts = accepts([&] {
+      SimConfig cfg = conflict_cfg(runtime::is_lock_based(row.spec.impl)
+                                       ? ShareMode::kLockBased
+                                       : ShareMode::kLockFree);
+      cfg.objects = {row.spec};
+      cfg.dispatch.placement = partitioned({0, 1});
+      Simulator sim(ts, edf, cfg);
+      sim.set_arrivals(0, {0});
+      sim.set_arrivals(1, {usec(1)});
+      sim.run();
+    });
+    const bool exec_accepts = accepts([&] {
+      runtime::ExecConfig ec;
+      ec.horizon = msec(2);
+      ec.objects = {row.spec};
+      ec.cpu_count = 2;
+      ec.dispatch.placement = partitioned({0, 1});
+      runtime::run_on_executor(ts, edf, ec);
+    });
+    EXPECT_EQ(sim_accepts, row.accepted);
+    EXPECT_EQ(exec_accepts, row.accepted);
+  }
+}
+
 // ---- Executor substrate --------------------------------------------
 
 rt::ExecutorReport run_exec(const Placement& placement) {

@@ -90,15 +90,17 @@ std::vector<std::pair<ObjectKind, ObjectImpl>> all_combos() {
   return v;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, SharedObjectAllCombos, ::testing::ValuesIn(all_combos()),
-    [](const auto& info) {
-      std::string name = std::string(to_string(info.param.first)) + "_" +
-                         to_string(info.param.second);
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    });
+std::string combo_name(
+    const ::testing::TestParamInfo<std::pair<ObjectKind, ObjectImpl>>& info) {
+  std::string name = std::string(to_string(info.param.first)) + "_" +
+                     to_string(info.param.second);
+  for (char& c : name)
+    if (c == '-') c = '_';
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, SharedObjectAllCombos,
+                         ::testing::ValuesIn(all_combos()), combo_name);
 
 /// An aborted access (checkpoint throws) is rolled back: the exception
 /// propagates, the op is not counted, and a queue write leaves no
@@ -115,6 +117,39 @@ TEST(SharedObject, AbortedWriteRollsBack) {
   EXPECT_EQ(set.matrix().totals().ops, 1);
   EXPECT_EQ(set.matrix().at(0, 0).ops, 1);
 }
+
+class SharedObjectRollback
+    : public ::testing::TestWithParam<std::pair<ObjectKind, ObjectImpl>> {};
+
+/// An aborted write (checkpoint throws) is rolled back on every
+/// queue/stack × impl: the exception propagates, the access is not
+/// counted, and the structure saw the insert and its compensating
+/// remove, so the write leaves no element behind.
+TEST_P(SharedObjectRollback, AbortedWriteRollsBack) {
+  const auto [kind, impl] = GetParam();
+  SharedObjectSet set(specs_of(kind, impl), kTasks, 256);
+  struct Abort {};
+  EXPECT_THROW(
+      set.access(0, AccessOp::kWrite, 0, 0, [] { throw Abort{}; }), Abort);
+  EXPECT_EQ(set.matrix().totals().ops, 0);
+  EXPECT_EQ(set.counts_of(0).ops, 2);
+
+  set.access(0, AccessOp::kWrite, 0, 1, [] {});
+  EXPECT_EQ(set.matrix().totals().ops, 1);
+  EXPECT_EQ(set.matrix().at(0, 0).ops, 1);
+  EXPECT_EQ(set.counts_of(0).ops, 4);
+}
+
+std::vector<std::pair<ObjectKind, ObjectImpl>> queue_stack_combos() {
+  std::vector<std::pair<ObjectKind, ObjectImpl>> v;
+  for (const ObjectKind kind : {ObjectKind::kQueue, ObjectKind::kStack})
+    for (const ObjectImpl impl : all_object_impls()) v.push_back({kind, impl});
+  return v;
+}
+
+INSTANTIATE_TEST_SUITE_P(QueueStack, SharedObjectRollback,
+                         ::testing::ValuesIn(queue_stack_combos()),
+                         combo_name);
 
 /// Accesses attributed to a task outside the registry's range (e.g. a
 /// maintenance thread with task id -1) still work — they are simply not

@@ -1,17 +1,15 @@
-// runtime::TimerWheel / ShardedTimerWheel — the deadline structure
-// behind the executor's abort timers and the service's open-loop
-// arrival pacing.  The properties that matter: nothing ever fires
-// early, everything due fires exactly once, next_deadline() is exact
-// (not rounded to a slot boundary), overflow entries beyond one
-// horizon cascade back in, and fire callbacks may re-enter schedule()
-// (chained timers) without corrupting the walk.
+// runtime::TimerWheel — the deadline structure behind the executor's
+// abort timers and the service's open-loop arrival pacing.  The
+// properties that matter: nothing ever fires early, everything due
+// fires exactly once, next_deadline() is exact (not rounded to a slot
+// boundary), overflow entries beyond one horizon cascade back in, and
+// fire callbacks may re-enter schedule() (chained timers) without
+// corrupting the walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <random>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -194,35 +192,6 @@ TEST(TimerWheel, RandomizedMultiRevolutionMatchesOracle) {
     for (std::size_t i = 0; i < kN; ++i)
       EXPECT_TRUE(fired[i]) << "entry " << i << " never fired";
   }
-}
-
-TEST(TimerWheel, ShardedConcurrentProducersIndependentShards) {
-  // One shard per producer (the Service layout): schedule + advance
-  // race across shards; per-shard totals must be exact.
-  constexpr std::size_t kShards = 4;
-  constexpr int kPerShard = 5'000;
-  ShardedTimerWheel<int> w(kShards, 10, 32);
-  std::atomic<int> fired_total{0};
-  std::vector<std::thread> producers;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    producers.emplace_back([&, s] {
-      int fired = 0;
-      for (int i = 0; i < kPerShard; ++i)
-        w.schedule(s, /*deadline=*/i, /*payload=*/static_cast<int>(s));
-      Time now = 0;
-      while (fired < kPerShard) {
-        now += 37;
-        fired += static_cast<int>(w.advance(s, now, [&](Time, int v) {
-          ASSERT_EQ(v, static_cast<int>(s));  // shards never cross
-          fired_total.fetch_add(1, std::memory_order_relaxed);
-        }));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(fired_total.load(), static_cast<int>(kShards) * kPerShard);
-  EXPECT_EQ(w.size(), 0);
-  EXPECT_EQ(w.next_deadline_all(), kTimeNever);
 }
 
 }  // namespace
