@@ -26,6 +26,8 @@
 //     retries without enforcing the bound: NBW/snapshot readers spin
 //     while a writer is mid-flight, a retry class outside the theorem's
 //     CAS model,
+//   * no executor run ever has more job bodies executing at once than
+//     it has CPU slots (max_concurrency_observed <= cpu_count),
 //   * every executor report's contention heatmap has objects × tasks
 //     cells whose retry/blocking sums equal the run's per-job totals
 //     (the attribution invariant), and round-trips bit-exactly through
@@ -343,6 +345,12 @@ int main(int argc, char** argv) {
     if (!r.heat_ok) {
       std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
                 << r.load_label << ": contention heatmap invariants broken\n";
+      ok = false;
+    }
+    if (r.max_conc > r.cpus) {
+      std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
+                << r.load_label << ": " << r.max_conc
+                << " bodies executed at once on " << r.cpus << " CPUs\n";
       ok = false;
     }
     if (r.load_label == "underload") {

@@ -12,7 +12,9 @@
 #      wait-free NBW buffer, snapshot and four-slot registers in
 #      lockfree_test, snapshot_test and four_slot_test), the lock
 #      zoo's mutual-exclusion/FIFO/accounting properties under real
-#      contention (lock_zoo_test), executor
+#      contention (lock_zoo_test), the executor's basic cases
+#      (executor_test) and its execution-right handoff under
+#      preemption/abort stress (executor_handoff_test), executor
 #      abort storms (executor_storm_test, with parallel workers),
 #      the submit-vs-shutdown race (executor_shutdown_race_test),
 #      the M-worker mode witnesses (executor_multicpu_test), the
@@ -62,7 +64,8 @@ cmake -B build-tsan -S . -DLFRT_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" \
       --target exp_test determinism_test concurrent_build_test \
                lockfree_test four_slot_test snapshot_test \
-               lock_zoo_test executor_storm_test \
+               lock_zoo_test executor_test executor_handoff_test \
+               executor_storm_test \
                executor_shutdown_race_test executor_multicpu_test \
                shared_object_test exec_objects_test \
                sharded_object_test contention_controller_test \

@@ -47,14 +47,14 @@ struct Executor::Impl {
   struct Worker {
     std::thread th;
     JobRec* assigned = nullptr;  // under mu; non-null = has work
+    std::condition_variable cv;  // idle wait: bind_worker or shutdown
   };
 
   const ExecutorConfig cfg;
   Clock::time_point epoch = Clock::now();
 
   std::mutex mu;
-  std::condition_variable sched_cv;    // wakes the scheduling thread
-  std::condition_variable worker_cv;   // wakes parked/idle workers
+  std::condition_variable sched_cv;  // wakes the scheduling thread
 
   // Job records live in a stable-address slab and recycle through a
   // free list: steady-state admission touches no allocator, and the
@@ -67,8 +67,8 @@ struct Executor::Impl {
   std::vector<JobRec*> live;
   JobId next_id = 0;
 
-  // Worker pool.  Workers park on worker_cv between jobs; `idle` is a
-  // LIFO so recently-run (cache-warm) threads go first.
+  // Worker pool.  Workers wait on their own cv between jobs; `idle` is
+  // a LIFO so recently-run (cache-warm) threads go first.
   std::vector<std::unique_ptr<Worker>> workers;
   std::vector<Worker*> idle;
   bool workers_stop = false;
@@ -98,6 +98,13 @@ struct Executor::Impl {
   // admit inserts, mark_aborting and finalize erase.  Abort handlers
   // run off-CPU, so the pass has no front.
   sched::SchedulingPass pass;
+  // Execution rights: a body runs only while its job holds one, so at
+  // most cpu_count bodies execute.  A dispatched job takes a free right
+  // or queues in `right_waiters` (FIFO, dispatched jobs only, at most
+  // cpu_count long); a body hands its right on when it parks, completes
+  // or unwinds from an abort (release_right).
+  int free_rights = cfg.cpu_count;
+  std::vector<JobRec*> right_waiters;
   // Gauge of workers currently inside job bodies; feeds the report's
   // max_concurrency_observed high-water mark.
   int executing_now = 0;
@@ -113,6 +120,7 @@ struct Executor::Impl {
     bool aborting = false;   // the body throws at its next checkpoint
     bool counted = false;    // inside the executing_now gauge
     bool bound = false;      // a pool worker owns this record
+    bool has_right = false;  // holds one of the cpu_count execution rights
     Time ran_for = 0;        // accumulated execution time estimate input
     Time last_dispatch = 0;  // when it last got a CPU
 
@@ -122,11 +130,15 @@ struct Executor::Impl {
     /// counted by the scheduling thread.
     Job acct;
 
+    // The bound worker waits here, under mu, for a right or an abort.
+    std::condition_variable cv;
+
     void reset() {
       spec = RtJob{};
       aborting = false;
       counted = false;
       bound = false;
+      has_right = false;
       ran_for = 0;
       last_dispatch = 0;
       acct = Job{};
@@ -139,13 +151,14 @@ struct Executor::Impl {
       std::unique_lock<std::mutex> lock(owner->mu);
       if (aborting) throw JobAborted{};
       if (dispatched()) return;  // keep going
-      // Preempted: leave the concurrency gauge and park.  The worker
-      // never migrates and its thread-local access sink stays
-      // installed, so structure events after resumption still credit
-      // this job.
+      // Preempted: leave the concurrency gauge, hand the right on and
+      // park until a re-dispatch grants one again.  The worker never
+      // migrates and its thread-local access sink stays installed, so
+      // structure events after resumption still credit this job.
       owner->leave_body(*this);
+      owner->release_right(*this);
       owner->sched_cv.notify_all();
-      owner->worker_cv.wait(lock, [&] { return dispatched() || aborting; });
+      cv.wait(lock, [&] { return has_right || aborting; });
       if (aborting) throw JobAborted{};
       owner->enter_body(*this);
     }
@@ -167,7 +180,7 @@ struct Executor::Impl {
     {
       std::lock_guard<std::mutex> lock(mu);
       for (int i = 0; i < cfg.cpu_count + kWorkerReserve; ++i)
-        start_worker();
+        idle.push_back(start_worker());
     }
     sched_thread = std::thread([this] { scheduler_loop(); });
   }
@@ -181,8 +194,10 @@ struct Executor::Impl {
   // --- helpers; all require mu held ---
 
   void enter_body(JobRec& r) {
+    LFRT_CHECK(r.has_right);
     r.counted = true;
     ++executing_now;
+    LFRT_CHECK(executing_now <= cfg.cpu_count);
     report.max_concurrency_observed =
         std::max(report.max_concurrency_observed, executing_now);
   }
@@ -193,6 +208,47 @@ struct Executor::Impl {
     if (!r.counted) return;
     r.counted = false;
     --executing_now;
+  }
+
+  // A dispatched job takes a free right, else queues for one.
+  void request_right(JobRec& r) {
+    if (r.has_right) return;  // descheduled and re-dispatched, never parked
+    if (free_rights == 0) {
+      right_waiters.push_back(&r);
+      return;
+    }
+    --free_rights;
+    grant(r);
+  }
+
+  void grant(JobRec& r) {
+    r.has_right = true;
+    r.cv.notify_one();
+  }
+
+  // The body parked, completed or unwound: its right goes to the
+  // longest-waiting dispatched job, else back to the pool.
+  void release_right(JobRec& r) {
+    if (!r.has_right) return;
+    r.has_right = false;
+    if (right_waiters.empty()) {
+      ++free_rights;
+      return;
+    }
+    JobRec* next = right_waiters.front();
+    right_waiters.erase(right_waiters.begin());
+    grant(*next);
+  }
+
+  // The job lost its CPU slot (descheduled or aborting): it stops
+  // waiting for a right, and a right its worker has not yet taken into
+  // the body goes on at once.  A right in use stays until the park.
+  void drop_claim(JobRec& r) {
+    const auto it = std::find(right_waiters.begin(), right_waiters.end(), &r);
+    if (it != right_waiters.end())
+      right_waiters.erase(it);
+    else if (!r.counted)
+      release_right(r);
   }
 
   // Accounts the job's stint on CPU `c` into its execution time and the
@@ -233,7 +289,7 @@ struct Executor::Impl {
   }
 
   // Attach a free pool worker to the record (growing the pool when all
-  // workers are pinned by preempted jobs).  Caller notifies worker_cv.
+  // workers are pinned by jobs) and wake it.
   void bind_worker(JobRec& r) {
     Worker* w;
     if (!idle.empty()) {
@@ -244,6 +300,7 @@ struct Executor::Impl {
     }
     w->assigned = &r;
     r.bound = true;
+    w->cv.notify_one();
   }
 
   JobRec* alloc_rec() {
@@ -291,6 +348,7 @@ struct Executor::Impl {
   // not touch it again.
   void finalize(JobRec& r, bool completed, Time t) {
     leave_body(r);
+    release_right(r);
     if (!r.aborting) pass.erase(r.acct.id);
     vacate_cpu(r, t);
     r.acct.exec_actual = r.ran_for;
@@ -327,8 +385,9 @@ struct Executor::Impl {
     r.aborting = true;
     pass.erase(r.acct.id);
     vacate_cpu(r, t);
+    drop_claim(r);
     if (!r.bound) bind_worker(r);
-    worker_cv.notify_all();  // parked workers observe and throw
+    r.cv.notify_one();  // a parked or waiting worker observes and throws
   }
 
   std::size_t submit_batch(RtJob* batch, std::size_t count, JobId* ids) {
@@ -409,7 +468,7 @@ struct Executor::Impl {
   void worker_loop(Worker* w) {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      worker_cv.wait(lock, [&] { return w->assigned != nullptr || workers_stop; });
+      w->cv.wait(lock, [&] { return w->assigned != nullptr || workers_stop; });
       if (w->assigned == nullptr) return;  // stop, nothing bound
       JobRec* r = w->assigned;
       w->assigned = nullptr;
@@ -419,12 +478,12 @@ struct Executor::Impl {
     }
   }
 
-  // Runs one job on the calling pool worker: wait for the first
-  // dispatch (or a pre-start abort), execute body/abort-handler with
-  // the job's access sink installed, finalize.  mu held on entry and
-  // exit, released around the body.
+  // Runs one job on the calling pool worker: wait for the first right
+  // (or a pre-start abort), execute body/abort-handler with the job's
+  // access sink installed, finalize.  mu held on entry and exit,
+  // released around the body.
   void run_job(std::unique_lock<std::mutex>& lock, JobRec* r) {
-    worker_cv.wait(lock, [&] { return r->dispatched() || r->aborting; });
+    r->cv.wait(lock, [&] { return r->has_right || r->aborting; });
     if (!r->aborting) enter_body(*r);
     bool completed = false;
     lock.unlock();
@@ -447,9 +506,11 @@ struct Executor::Impl {
       } catch (const JobAborted&) {
         {
           // The handler runs off-CPU: it is compensation, not body
-          // execution, so it leaves the concurrency gauge first.
+          // execution, so it leaves the concurrency gauge and hands its
+          // right on first.
           std::lock_guard<std::mutex> g(mu);
           leave_body(*r);
+          release_right(*r);
         }
         if (r->spec.abort_handler) r->spec.abort_handler();
       }
@@ -485,20 +546,22 @@ struct Executor::Impl {
       const auto& decisions = pass.dispatch();
       for (const auto& d : decisions) {
         if (d.prev != kNoJob) {
-          // Deschedule: account the stint as a preemption.
+          // Deschedule: account the stint as a preemption.  A body
+          // in flight keeps its right until it parks.
           JobRec& p = *find_live(d.prev);
           end_stint(p, d.cpu, t);
+          drop_claim(p);
           ++p.acct.preemptions;
           ++report.total_preemptions;
           continue;
         }
         JobRec& n = *find_live(d.next);
         if (!n.bound) bind_worker(n);  // first dispatch: claim a worker
+        request_right(n);
         n.last_dispatch = t;
         ++report.dispatches;
         ++report.cpu_jobs[static_cast<std::size_t>(d.cpu)];
       }
-      if (!decisions.empty()) worker_cv.notify_all();
 
       // Sleep until the next abort deadline or any event.  The
       // idle-flag/fence handshake with IngestLane::offer (see
@@ -554,7 +617,7 @@ struct Executor::Impl {
     {
       std::lock_guard<std::mutex> lock(mu);
       workers_stop = true;
-      worker_cv.notify_all();
+      for (auto& w : workers) w->cv.notify_one();
     }
     for (auto& w : workers)
       if (w->th.joinable()) w->th.join();

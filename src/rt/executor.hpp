@@ -51,8 +51,9 @@ class JobAborted {};
 /// Handle a running body uses to cooperate with the scheduler.
 class JobContext {
  public:
-  /// Preemption/abort point.  Blocks while the job is preempted;
-  /// throws JobAborted once the job's critical time has expired.
+  /// Preemption/abort point.  Blocks while the job is preempted (until
+  /// a re-dispatch and a free execution right); throws JobAborted once
+  /// the job's critical time has expired.
   /// Bodies should call this between work quanta.
   virtual void checkpoint() = 0;
 
@@ -178,10 +179,10 @@ struct ExecutorReport : runtime::RunReport {
   /// High-water mark of worker threads simultaneously executing job
   /// bodies (abort handlers excluded).  The witness that a multi-CPU
   /// run really overlapped: >= 2 means lock-free conflicts could arise
-  /// from true parallelism, not just preemption.  May transiently
-  /// exceed cpu_count: a descheduled body keeps executing until its
-  /// next checkpoint while its replacement starts (the cooperative
-  /// model's preemption latency).
+  /// from true parallelism, not just preemption.  Never exceeds
+  /// cpu_count: a body runs only while its job holds one of cpu_count
+  /// execution rights, and a descheduled body keeps its right until it
+  /// parks, so its replacement waits for it (see Executor).
   int max_concurrency_observed = 0;
 };
 
@@ -201,14 +202,30 @@ struct ExecutorReport : runtime::RunReport {
 /// 3's tradeoff, Lemmas 4/5) are validated at cpu_count = 1 and merely
 /// *measured* beyond it.
 ///
+/// Execution rights make M a bound, not a hint.  The executor holds M
+/// rights; a dispatched job enters or resumes its body only while it
+/// holds one.  A pass that deschedules a job frees its CPU slot at once,
+/// but the body keeps its right until it parks at a checkpoint,
+/// completes, or unwinds from JobAborted; then the right goes straight
+/// to the longest-waiting dispatched job (or back to the pool).  So the
+/// replacement starts when the previous body parks — preemption latency
+/// is one checkpoint quantum — and at most M bodies ever execute.  Lock
+/// sections never span a checkpoint (a queue push or pop takes and
+/// releases its lock on its own), so a body never parks holding a lock
+/// another body spins on.  Wake-ups are targeted: each job record and
+/// each pool worker has its own condition variable, and the scheduling
+/// thread notifies only the worker a decision concerns (a grant, an
+/// abort, a bind), never the whole pool.
+///
 /// Workers are pooled, not per-job: a job binds to a free worker at its
 /// first dispatch and keeps that thread until it reaches a terminal
 /// state (a preempted body parks ON its thread — its stack is its
 /// state — so workers never migrate mid-job and per-job retry
 /// attribution via the thread-local ScopedAccessSink stays exact).
-/// The pool starts at cpu_count + 2 and grows only when every worker
-/// is pinned by a preempted job (cooperative preemption parks a body
-/// on its thread); it never shrinks during a run.  Terminal JobRecs are
+/// The pool starts at cpu_count + 2 idle workers and grows only when
+/// every worker is pinned by a job that is parked, waiting for a right,
+/// or running (cooperative preemption parks a body on its thread); it
+/// never shrinks during a run.  Terminal JobRecs are
 /// recycled through a free list immediately, so a long run's memory is
 /// bounded by its peak backlog, not its job count.
 ///

@@ -120,7 +120,8 @@ void ContentionController::enable_placement(sched::Placement placement,
   std::vector<std::int32_t> clusters(placement.task_affinity);
   impl_->placement = std::move(placement);
   ObjectTopology topo(ts);
-  impl_->core.enable_placement(std::move(clusters), cluster_count,
+  impl_->core.enable_placement(impl_->placement, std::move(clusters),
+                               cluster_count,
                                std::move(topo.accessors_of),
                                std::move(topo.writer_of));
 }

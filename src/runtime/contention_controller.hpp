@@ -240,8 +240,10 @@ class ContentionControllerCore {
 
     // Placement epoch actions: for each object hot this epoch (by
     // Δretries + Δblockings past steer_min_retries), either spread its
-    // accessors round-robin across clusters (scoped kinds — separation
-    // gives each cluster its own instance, so the conflicts vanish) or
+    // accessors round-robin across clusters (scoped objects — separation
+    // gives each cluster its own instance, so the conflicts vanish; an
+    // unscoped queue stays one shared instance, and spreading it would
+    // only add true-parallel conflicts) or
     // home them onto the single writer's cluster (buffer/snapshot —
     // readers co-located with the writer stop paying true-concurrency
     // spin).  Deterministic: objects in id order, accessors in the
@@ -257,7 +259,7 @@ class ContentionControllerCore {
                    (live.at(o, t).blockings - prev_.at(o, t).blockings);
         if (d_hot < cfg_.steer_min_retries) continue;
         const TaskId writer = oi < writer_of_.size() ? writer_of_[oi] : -1;
-        if (is_scoped_kind(specs_[oi].kind)) {
+        if (scoped_[oi]) {
           std::size_t idx = 0;
           for (TaskId t : accessors_of_[oi]) {
             const std::int32_t target = static_cast<std::int32_t>(
@@ -285,15 +287,20 @@ class ContentionControllerCore {
     return out;
   }
 
-  /// Turn on placement epoch actions.  `task_cluster` is the live
+  /// Turn on placement epoch actions.  `placement` decides which
+  /// objects are scoped (is_scoped), `task_cluster` is the live
   /// task -> cluster map (the core tracks it across its own moves),
   /// `accessors_of[o]` lists the tasks whose jobs access object o (in a
   /// deterministic, preferably sorted order), `writer_of[o]` is the
   /// single task that writes o (-1 when zero or several do).
-  void enable_placement(std::vector<std::int32_t> task_cluster,
+  void enable_placement(const sched::Placement& placement,
+                        std::vector<std::int32_t> task_cluster,
                         std::int32_t cluster_count,
                         std::vector<std::vector<TaskId>> accessors_of,
                         std::vector<TaskId> writer_of) {
+    scoped_.clear();
+    for (const ObjectSpec& s : specs_)
+      scoped_.push_back(is_scoped(s, placement));
     place_cluster_ = std::move(task_cluster);
     cluster_count_ = cluster_count;
     accessors_of_ = std::move(accessors_of);
@@ -351,6 +358,7 @@ class ContentionControllerCore {
   ContentionMatrix prev_;
   // Placement epoch-action state (enable_placement).
   bool placement_enabled_ = false;
+  std::vector<bool> scoped_;  ///< per object: is_scoped under the placement
   std::int32_t cluster_count_ = 1;
   std::vector<std::int32_t> place_cluster_;  ///< task -> cluster (-1 none)
   std::vector<std::vector<TaskId>> accessors_of_;

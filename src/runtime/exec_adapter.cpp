@@ -121,7 +121,8 @@ rt::ExecutorReport run_on_executor(const TaskSet& ts,
                      return a.at != b.at ? a.at < b.at : a.task < b.task;
                    });
 
-  rt::ExecutorConfig excfg{cfg.cpu_count};
+  rt::ExecutorConfig excfg;
+  excfg.cpu_count = cfg.cpu_count;
   excfg.dispatch = cfg.dispatch;
   rt::Executor ex(scheduler, excfg);
 

@@ -49,7 +49,8 @@ struct ServiceConfig {
   /// hard backlog cap (0 stays 0 only if set explicitly — pass the
   /// whole ExecutorConfig to override).
   rt::ExecutorConfig executor{.retain_job_records = false,
-                              .max_live_jobs = 8192};
+                              .max_live_jobs = 8192,
+                              .dispatch = {}};
 
   int lanes = 1;                    ///< one per producer thread
   std::size_t lane_capacity = 4096; ///< offers park here until drained

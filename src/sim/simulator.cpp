@@ -253,7 +253,8 @@ struct Simulator::Impl {
         for (TaskId t = 0; t <= max_task; ++t)
           clusters[static_cast<std::size_t>(t)] = placement.cluster_of_task(t);
         runtime::ObjectTopology topo(tasks);
-        controller->enable_placement(std::move(clusters), scope_.clusters,
+        controller->enable_placement(placement, std::move(clusters),
+                                     scope_.clusters,
                                      std::move(topo.accessors_of),
                                      std::move(topo.writer_of));
       }

@@ -36,12 +36,14 @@ workload::WorkloadSpec reader_writer_spec() {
 
 /// Σ per-job retries == report total == Σ heatmap cells (and the same
 /// for blockings): every event the structures recorded was attributed
-/// both to its job and to its (object, task) cell.
+/// both to its job and to its (object, task) cell.  And no more bodies
+/// ever ran at once than the run had CPU slots.
 void check_attribution(const rt::ExecutorReport& rep, const TaskSet& ts) {
   ASSERT_EQ(rep.contention.objects, ts.object_count);
   ASSERT_EQ(rep.contention.tasks,
             static_cast<std::int32_t>(ts.tasks.size()));
   ASSERT_FALSE(rep.contention.empty());
+  EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
 
   std::int64_t job_retries = 0, job_blockings = 0;
   for (const Job& j : rep.jobs) {

@@ -28,8 +28,10 @@ TEST(ExecutorMultiCpu, TwoJobsRendezvousWithTwoCpus) {
   const sched::RuaScheduler rua(sched::Sharing::kLockFree);
   std::atomic<int> started{0};
   rt::ExecutorReport rep;
+  rt::ExecutorConfig cfg;
+  cfg.cpu_count = 2;
   {
-    rt::Executor ex(rua, rt::ExecutorConfig{2});
+    rt::Executor ex(rua, cfg);
     for (int i = 0; i < 2; ++i) {
       rt::RtJob job;
       job.tuf = make_step_tuf(10.0, sec(30));  // generous: no aborts
@@ -49,6 +51,7 @@ TEST(ExecutorMultiCpu, TwoJobsRendezvousWithTwoCpus) {
   EXPECT_EQ(rep.aborted, 0);
   EXPECT_EQ(rep.cpu_count, 2);
   EXPECT_GE(rep.max_concurrency_observed, 2);
+  EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
   ASSERT_EQ(rep.cpu_busy.size(), 2u);
   // Both slots were actually occupied at some point.
   EXPECT_GT(rep.cpu_busy[0], 0);
@@ -152,6 +155,7 @@ TEST(ExecutorMultiCpu, AgreesWithSimulatorAcrossCpuCounts) {
     EXPECT_EQ(sim_rep.counted_jobs, exec_rep.counted_jobs)
         << "cpus " << cpus << ": different job populations";
     EXPECT_EQ(exec_rep.cpu_count, cpus);
+    EXPECT_LE(exec_rep.max_concurrency_observed, cpus);
     EXPECT_LE(std::abs(sim_rep.aur() - exec_rep.aur()), kTol)
         << "cpus " << cpus << ": AUR sim " << sim_rep.aur() << " vs exec "
         << exec_rep.aur();

@@ -30,9 +30,16 @@ void spin_past(rt::JobContext& ctx, Time total) {
   }
 }
 
+rt::ExecutorConfig on_cpus(int cpu_count) {
+  rt::ExecutorConfig cfg;
+  cfg.cpu_count = cpu_count;
+  return cfg;
+}
+
 void check_report_consistency(const rt::ExecutorReport& rep) {
   EXPECT_EQ(rep.completed + rep.aborted, rep.submitted);
   EXPECT_EQ(rep.counted_jobs, rep.submitted);
+  EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
   EXPECT_EQ(static_cast<std::int64_t>(rep.jobs.size()), rep.submitted);
   std::int64_t retries = 0, blockings = 0, completed = 0, aborted = 0;
   double utility = 0.0;
@@ -78,7 +85,7 @@ void run_lockfree_abort_storm(int cpu_count) {
   const sched::RuaScheduler rua(sched::Sharing::kLockFree);
   rt::ExecutorReport rep;
   {
-    rt::Executor ex(rua, rt::ExecutorConfig{cpu_count});
+    rt::Executor ex(rua, on_cpus(cpu_count));
     for (int i = 0; i < 24; ++i) {
       rt::RtJob job;
       const bool doomed = (i % 2 == 0);
@@ -219,7 +226,7 @@ TEST(ExecutorStorm, ParallelWorkersCreditRetriesToOwnJobs) {
   std::atomic<int> peak{0};
   rt::ExecutorReport rep;
   {
-    rt::Executor ex(rua, rt::ExecutorConfig{kCpus});
+    rt::Executor ex(rua, on_cpus(kCpus));
     for (int i = 0; i < kJobs; ++i) {
       rt::RtJob job;
       job.tuf = make_step_tuf(10.0 + i, sec(20));  // generous: no aborts

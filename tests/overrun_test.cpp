@@ -101,9 +101,12 @@ TEST(Overrun, TightCriticalTimesConvertOverrunsToAborts) {
   EXPECT_GT(rep.completed, 0);
   EXPECT_GT(rep.aborted, 0);
   for (const Job& j : rep.jobs) {
-    if (j.state == JobState::kAborted) EXPECT_GT(j.exec_actual, usec(100));
-    if (j.state == JobState::kCompleted)
+    if (j.state == JobState::kAborted) {
+      EXPECT_GT(j.exec_actual, usec(100));
+    }
+    if (j.state == JobState::kCompleted) {
       EXPECT_LE(j.exec_actual, usec(100));
+    }
   }
 }
 

@@ -501,7 +501,7 @@ TEST(PlacementController, CoreSpreadsHotScopedGroupAcrossClusters) {
   const std::vector<ObjectSpec> specs = {
       ObjectSpec{ObjectKind::kQueue, ObjectImpl::kLockFree}};
   runtime::ContentionControllerCore core(cfg, specs);
-  core.enable_placement({0, 0}, 2, {{0, 1}}, {-1});
+  core.enable_placement(partitioned({0, 0}), {0, 0}, 2, {{0, 1}}, {-1});
   ASSERT_TRUE(core.placement_enabled());
 
   runtime::ContentionMatrix m(1, 2);
@@ -531,7 +531,7 @@ TEST(PlacementController, CoreHomesSingleWriterObjectOnItsWriter) {
       ObjectSpec{ObjectKind::kBuffer, ObjectImpl::kLockFree}};
   runtime::ContentionControllerCore core(cfg, specs);
   // Writer task 0 lives in cluster 1; reader task 1 in cluster 0.
-  core.enable_placement({1, 0}, 2, {{0, 1}}, {0});
+  core.enable_placement(partitioned({1, 0}), {1, 0}, 2, {{0, 1}}, {0});
 
   runtime::ContentionMatrix m(1, 2);
   core.step(m);
@@ -544,14 +544,11 @@ TEST(PlacementController, CoreHomesSingleWriterObjectOnItsWriter) {
             runtime::PlacementMove::Why::kWriterHome);
 }
 
-TEST(PlacementSim, ControllerMigrationSeparatesCoLocatedHammerers) {
-  // Both tasks start in cluster 0 of a 2-cluster machine (one CPU per
-  // cluster) sharing one scoped queue.  Task 1 has a much tighter
-  // deadline, so it preempts task 0 mid-access every period — each
-  // preemption restarts the access and charges a retry.  The
-  // controller's spread action must migrate task 1 to cluster 1 (task
-  // 0 keeps (0 + 0) % 2 = 0), after which the tasks run on separate
-  // CPUs against separate instances and the retries stop.
+// Both tasks start in cluster 0 of a 2-cluster machine (one CPU per
+// cluster) sharing one lock-free queue.  Task 1 has a much tighter
+// deadline, so it preempts task 0 mid-access every period — each
+// preemption restarts the access and charges a retry.
+sim::SimReport run_co_located_hammerers(bool scope_objects, bool place) {
   TaskSet ts;
   ts.object_count = 1;
   std::vector<AccessSpec> hammer;
@@ -567,7 +564,8 @@ TEST(PlacementSim, ControllerMigrationSeparatesCoLocatedHammerers) {
   cfg.horizon = msec(4);
   cfg.objects = {ObjectSpec{ObjectKind::kQueue, ObjectImpl::kLockFree}};
   cfg.dispatch.placement = clustered({0, 1}, {0, 0});
-  cfg.controller.place = true;
+  cfg.dispatch.placement.scope_objects = scope_objects;
+  cfg.controller.place = place;
   cfg.controller.epoch = usec(200);
   cfg.controller.steer_min_retries = 1;
   Simulator sim(ts, edf, cfg);
@@ -578,7 +576,16 @@ TEST(PlacementSim, ControllerMigrationSeparatesCoLocatedHammerers) {
   for (Time t = usec(3); t < msec(4); t += usec(100))
     arrivals1.push_back(t);
   sim.set_arrivals(1, arrivals1);
-  const auto rep = sim.run();
+  return sim.run();
+}
+
+TEST(PlacementSim, ControllerMigrationSeparatesCoLocatedHammerers) {
+  // With the queue scoped, the controller's spread action must migrate
+  // task 1 to cluster 1 (task 0 keeps (0 + 0) % 2 = 0), after which the
+  // tasks run on separate CPUs against separate instances and the
+  // retries stop.
+  const auto rep = run_co_located_hammerers(/*scope_objects=*/true,
+                                            /*place=*/true);
   ASSERT_FALSE(rep.placement_moves.empty());
   EXPECT_EQ(rep.placement_moves[0].task, 1);
   EXPECT_EQ(rep.placement_moves[0].to_cluster, 1);
@@ -587,13 +594,21 @@ TEST(PlacementSim, ControllerMigrationSeparatesCoLocatedHammerers) {
   // After the spread the tasks write disjoint instances: retries stop
   // accumulating.  Compare against the same run with the controller
   // off.
-  SimConfig base = cfg;
-  base.controller.place = false;
-  Simulator sim2(ts, edf, base);
-  sim2.set_arrivals(0, arrivals);
-  sim2.set_arrivals(1, arrivals1);
-  const auto rep2 = sim2.run();
+  const auto rep2 = run_co_located_hammerers(true, /*place=*/false);
   EXPECT_LT(rep.total_retries, rep2.total_retries);
+}
+
+TEST(PlacementSim, ControllerLeavesUnscopedHammerersTogether) {
+  // Without scope_objects the queue is one shared instance: spreading
+  // its accessors would only turn preemption retries into
+  // true-parallel ones, so the controller must not spread them.
+  const auto rep = run_co_located_hammerers(/*scope_objects=*/false,
+                                            /*place=*/true);
+  for (const auto& m : rep.placement_moves)
+    EXPECT_NE(m.why, runtime::PlacementMove::Why::kSpreadHotGroup)
+        << "task " << m.task << " spread to cluster " << m.to_cluster;
+  const auto rep2 = run_co_located_hammerers(false, /*place=*/false);
+  EXPECT_EQ(rep.total_retries, rep2.total_retries);
 }
 
 // ---- analysis::mp zero-overlap refinement --------------------------

@@ -100,8 +100,11 @@ TEST_P(RuaPropertyTest, DispatchIsRunnable_P2) {
     const RuaScheduler rua(deps ? Sharing::kLockBased : Sharing::kLockFree);
     const auto res = rua.build(v.jobs, 0);
     if (res.dispatch == kNoJob) continue;
-    for (const auto& j : v.jobs)
-      if (j.id == res.dispatch) EXPECT_TRUE(j.runnable());
+    for (const auto& j : v.jobs) {
+      if (j.id == res.dispatch) {
+        EXPECT_TRUE(j.runnable());
+      }
+    }
   }
 }
 

@@ -49,6 +49,7 @@ TEST(Service, OfferedJobsAllAccountedAcrossLanes) {
   }
   for (auto& t : producers) t.join();
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, accepted.load());
   EXPECT_EQ(rep.offered, 2 * kPerLane);
@@ -78,6 +79,7 @@ TEST(Service, AdmissionBudgetShedsBeyondDeclaredLoad) {
   for (int i = 0; i < kOffers; ++i)
     if (svc.offer(0, quick_job(/*height=*/5.0))) ++accepted;
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, accepted);
   EXPECT_EQ(rep.exec.submitted, 2);  // floor(12 / 5)
@@ -103,6 +105,7 @@ TEST(Service, AdmissionBudgetDegradesWhenFallbackTufSet) {
   for (int i = 0; i < kOffers; ++i)
     ASSERT_TRUE(svc.offer(0, quick_job(/*height=*/5.0)));
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, kOffers);
   EXPECT_EQ(rep.exec.submitted, kOffers);  // nobody shed
@@ -132,6 +135,7 @@ TEST(Service, FullLaneBackpressuresInsteadOfBlocking) {
     else ++refused;
   }
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_GT(refused, 0);  // the tight loop outran a 1-slot lane
   EXPECT_EQ(rep.offered, accepted);
@@ -163,6 +167,7 @@ TEST(Service, DriveOpenLoopPacesArrivalsOnTheWheel) {
                 .count(),
             35);  // ~last arrival (38ms), minus scheduler-clock slack
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
   EXPECT_EQ(rep.offered, accepted);
   EXPECT_EQ(rep.exec.submitted, accepted);
   EXPECT_EQ(rep.exec.completed + rep.exec.aborted, rep.exec.submitted);
@@ -195,6 +200,7 @@ TEST(Service, CloseIngestStopsOffersAndOpenLoopDrivers) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 
   const ServiceReport rep = svc.shutdown();
+  EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
   EXPECT_EQ(rep.offered, 1);
   EXPECT_EQ(rep.backpressured, 0);  // closed-door refusals are uncounted
   EXPECT_EQ(rep.exec.submitted + rep.exec.rejected, 1);
