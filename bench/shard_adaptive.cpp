@@ -247,8 +247,10 @@ int main(int argc, char** argv) {
                "completed", "shards", "decisions"});
   auto shards_str = [](const std::vector<std::int32_t>& sc) {
     std::string s;
-    for (std::size_t i = 0; i < sc.size(); ++i)
-      s += (i ? "," : "") + std::to_string(sc[i]);
+    for (std::size_t i = 0; i < sc.size(); ++i) {
+      if (i) s += ',';
+      s += std::to_string(sc[i]);
+    }
     return s;
   };
   table.add_row({"sim", "static", std::to_string(sim_static.ops),

@@ -12,7 +12,7 @@
 //
 //   2. Sustained soak with latency SLOs.  A capacity probe finds each
 //      universe's saturation completion rate; the soak then drives an
-//      open-loop arrival schedule (timer-wheel paced, P producers) at
+//      open-loop arrival schedule (sorted-tape paced, P producers) at
 //      ~70% of it until >= 1M jobs (20k in --tiny) have been offered
 //      end-to-end through BOTH universes — bodies hammering a shared
 //      lock-free MsQueue vs a mutex-locked LockedQueue — and reports
@@ -66,7 +66,7 @@ double measure_spawn_join_ns() {
 
 /// A job that the executor can retire without dispatching a worker:
 /// its critical time is already (nearly) past at admission, so the
-/// abort wheel reclaims it inline on the next scheduling pass.  This
+/// abort timer reclaims it inline on the next scheduling pass.  This
 /// isolates the *submission path* being measured from body execution.
 rt::RtJob expiring_job(const std::shared_ptr<const Tuf>& tuf) {
   rt::RtJob job;

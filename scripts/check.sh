@@ -25,9 +25,9 @@
 #      across concurrent promote/demote (sharded_object_test,
 #      contention_controller_test), and the service-mode pieces: the
 #      batched SpscRing push_n/pop_n paths (lockfree_test), the
-#      concurrent latency histogram, the timer wheel, and the
-#      streaming Service ingest/admission front end
-#      (latency_histogram_test, timer_wheel_test, service_test),
+#      concurrent latency histogram and the streaming Service
+#      ingest/admission front end (latency_histogram_test,
+#      service_test),
 #   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
 #      objects × tasks contention matrix for every kind × impl combo,
 #      a shard_adaptive smoke (adaptive-sharding invariants live), a
@@ -69,7 +69,7 @@ cmake --build build-tsan -j "$JOBS" \
                executor_shutdown_race_test executor_multicpu_test \
                shared_object_test exec_objects_test \
                sharded_object_test contention_controller_test \
-               latency_histogram_test timer_wheel_test service_test \
+               latency_histogram_test service_test \
                analysis_mp_test cost_model_test report_json_test \
                placement_test ext_executor_validation
 # The suite regex lives in one file, which CI's TSan job reads too.

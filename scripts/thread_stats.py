@@ -15,7 +15,11 @@ thread's
     vol/s   voluntary context switches per second (sleeps, futex waits)
     invol/s involuntary context switches per second (preemptions)
 
-and the process-wide totals.  The command's own output passes through
+and the process-wide totals.  A thread that starts or exits inside the
+window is measured over the part of the window it was seen in (the
+"secs" column), so short-lived phases of one command (a bench that runs
+one soak after another) still get their own rows.  The command's own
+output passes through
 unchanged; the table goes to stderr.  The exit code is the command's.
 
 Linux only; needs schedstat (CONFIG_SCHED_INFO), which every common
@@ -114,29 +118,37 @@ def main():
     t0, t1 = samples[0][0], samples[-1][0]
     lo, hi = t0 + args.trim * (t1 - t0), t1 - args.trim * (t1 - t0)
     window = [s for s in samples if lo <= s[0] <= hi] or samples
-    (ta, a), (tb, b) = window[0], window[-1]
-    dt = tb - ta
+    dt = window[-1][0] - window[0][0]
     if dt <= 0:
         print("thread_stats: sampling window is empty", file=sys.stderr)
         return code
+    first, last = {}, {}  # key -> (time, stats) of its first/last sample
+    for t, snap in window:
+        for key, stats in snap.items():
+            first.setdefault(key, (t, stats))
+            last[key] = (t, stats)
+    keys = sorted(k for k in first if last[k][0] > first[k][0])
 
     err = sys.stderr
     print("thread_stats: %.2f s window (middle of a %.2f s run), %d threads"
-          % (dt, t1 - t0, len(set(a) & set(b))), file=err)
-    print("%8s %8s  %-16s %7s %7s %9s %9s"
-          % ("pid", "tid", "name", "run%", "wait%", "vol/s", "invol/s"),
-          file=err)
-    tot = [0.0, 0.0, 0.0, 0.0]
-    for key in sorted(set(a) & set(b)):
-        name = b[key][0]
-        d = [b[key][i] - a[key][i] for i in range(1, 5)]
-        row = [d[0] / 1e9 / dt * 100, d[1] / 1e9 / dt * 100,
-               d[2] / dt, d[3] / dt]
-        tot = [x + y for x, y in zip(tot, row)]
-        print("%8d %8d  %-16s %7.1f %7.1f %9.0f %9.0f"
-              % ((key[0], key[1], name[:16]) + tuple(row)), file=err)
-    print("%8s %8s  %-16s %7.1f %7.1f %9.0f %9.0f"
-          % (("", "", "total") + tuple(tot)), file=err)
+          % (dt, t1 - t0, len(keys)), file=err)
+    print("%8s %8s  %-16s %6s %7s %7s %9s %9s"
+          % ("pid", "tid", "name", "secs", "run%", "wait%", "vol/s",
+             "invol/s"), file=err)
+    def rates(d, span):  # run%, wait%, vol/s, invol/s over `span` s
+        return (d[0] / 1e9 / span * 100, d[1] / 1e9 / span * 100,
+                d[2] / span, d[3] / span)
+
+    tot = [0, 0, 0, 0]
+    for key in keys:
+        (ta, a), (tb, b) = first[key], last[key]
+        d = [b[i] - a[i] for i in range(1, 5)]
+        tot = [x + y for x, y in zip(tot, d)]
+        print("%8d %8d  %-16s %6.1f %7.1f %7.1f %9.0f %9.0f"
+              % ((key[0], key[1], b[0][:16], tb - ta) + rates(d, tb - ta)),
+              file=err)
+    print("%8s %8s  %-16s %6.1f %7.1f %7.1f %9.0f %9.0f"
+          % (("", "", "total", dt) + rates(tot, dt)), file=err)
     return code
 
 

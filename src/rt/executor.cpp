@@ -5,13 +5,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <mutex>
+#include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/latency_histogram.hpp"
 #include "runtime/object_stats.hpp"
-#include "runtime/timer_wheel.hpp"
 #include "sched/scheduling_pass.hpp"
 #include "support/check.hpp"
 
@@ -25,13 +27,6 @@ void validate(const RtJob& job) {
   LFRT_CHECK_MSG(job.body != nullptr, "job needs a body");
   LFRT_CHECK_MSG(job.expected_exec > 0, "job needs an execution estimate");
 }
-
-// Abort-deadline wheel shape: firing is per-entry exact, so the
-// granularity only bounds how many slots one advance() walks.  512us x
-// 2048 slots ~= a 1s in-slot horizon; longer critical times park in
-// the overflow list and cascade in as they approach.
-constexpr Time kWheelGranularity = usec(512);
-constexpr std::size_t kWheelSlots = 2048;
 
 // Workers started beyond cpu_count (see the pool notes in
 // executor.hpp), and the most entries one lane drain burst moves (the
@@ -86,11 +81,12 @@ struct Executor::Impl {
   // pair: at least one side always sees the other.
   std::atomic<bool> sched_idle{false};
 
-  // Abort timer: one wheel entry per admission, fired (or skipped as
-  // stale, when the job already reached a terminal state) by the
-  // scheduling thread.  Replaces the per-wakeup O(live) scans for
-  // expiry and for the next critical time.
-  runtime::TimerWheel<JobId> abort_wheel{kWheelGranularity, kWheelSlots};
+  // Abort timers: one (critical time, id) entry per admission in a
+  // min-heap, popped (or skipped as stale, when the job already reached
+  // a terminal state or is aborting) by the scheduling thread.
+  using AbortTimer = std::pair<Time, JobId>;
+  std::priority_queue<AbortTimer, std::vector<AbortTimer>, std::greater<>>
+      abort_timers;
 
   // The scheduling pass, shared with the simulator.  Its per-CPU
   // occupancy is the one record of which job holds which slot.  Its
@@ -157,7 +153,6 @@ struct Executor::Impl {
       // structure events after resumption still credit this job.
       owner->leave_body(*this);
       owner->release_right(*this);
-      owner->sched_cv.notify_all();
       cv.wait(lock, [&] { return has_right || aborting; });
       if (aborting) throw JobAborted{};
       owner->enter_body(*this);
@@ -338,7 +333,7 @@ struct Executor::Impl {
                  .critical = r->acct.critical_abs,
                  .remaining = remaining(*r, arrival),
                  .tuf = r->spec.tuf.get(), .task = r->spec.task});
-    abort_wheel.schedule(r->acct.critical_abs, id);
+    abort_timers.emplace(r->acct.critical_abs, id);
     return id;
   }
 
@@ -527,11 +522,11 @@ struct Executor::Impl {
 
       // Fire due abort timers (the timer going off).  Entries whose job
       // already reached a terminal state are no longer live: stale, skip.
-      abort_wheel.advance(t, [&](Time, JobId id) {
-        JobRec* r = find_live(id);
-        if (r == nullptr || r->aborting) return;
-        mark_aborting(*r, t);
-      });
+      while (!abort_timers.empty() && abort_timers.top().first <= t) {
+        JobRec* r = find_live(abort_timers.top().second);
+        abort_timers.pop();
+        if (r != nullptr && !r->aborting) mark_aborting(*r, t);
+      }
 
       if (stopping && live.empty() && lanes_empty()) return;
 
@@ -569,7 +564,8 @@ struct Executor::Impl {
       // sched_idle we re-check the lanes, and a producer that missed
       // the flag is guaranteed (Dekker, via the paired seq_cst fences)
       // to have its push visible to that re-check.
-      const Time next_expiry = abort_wheel.next_deadline();
+      const Time next_expiry =
+          abort_timers.empty() ? kTimeNever : abort_timers.top().first;
       sched_idle.store(true, std::memory_order_seq_cst);
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!lanes_empty()) {

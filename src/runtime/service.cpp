@@ -1,23 +1,18 @@
 #include "runtime/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <thread>
 #include <utility>
 
-#include "runtime/timer_wheel.hpp"
 #include "support/check.hpp"
 
 namespace lfrt::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Pacing-wheel shape of drive_open_loop: firing is per-entry exact, so
-// the granularity only bounds how many slots one advance() walks.
-constexpr Time kWheelGranularity = usec(64);
-constexpr std::size_t kWheelSlots = 4096;
 
 // Sliding-window utility-budget gate (the UAM ⟨l, a, W⟩ window as an
 // enforcement).  Touched only by the executor's scheduling thread via
@@ -120,29 +115,28 @@ std::int64_t Service::drive_open_loop(int lane,
   for (const auto& s : streams)
     LFRT_CHECK_MSG(s.make_job != nullptr, "ArrivalStream needs make_job");
 
-  // One wheel per driver call: the caller thread owns the pacing, so
-  // concurrent drivers on different lanes never share timer state.
-  TimerWheel<std::size_t> wheel(kWheelGranularity, kWheelSlots);
-  const Clock::time_point epoch = Clock::now();
-  const auto now_ns = [&] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                epoch)
-        .count();
-  };
+  // One sorted tape per driver call: the caller thread owns the pacing,
+  // so concurrent drivers on different lanes never share timer state.
+  std::vector<std::pair<Time, std::size_t>> tape;
   for (std::size_t s = 0; s < streams.size(); ++s)
-    for (const Time at : streams[s].arrivals) wheel.schedule(at, s);
+    for (const Time at : streams[s].arrivals) tape.emplace_back(at, s);
+  std::sort(tape.begin(), tape.end());
 
+  const Clock::time_point epoch = Clock::now();
   std::int64_t accepted = 0;
-  while (!wheel.empty() && !im.closed.load(std::memory_order_acquire)) {
-    const Time next = wheel.next_deadline();
-    if (next == kTimeNever) break;
-    std::this_thread::sleep_until(epoch + std::chrono::nanoseconds(next));
+  std::size_t i = 0;
+  while (i < tape.size() && !im.closed.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_until(epoch +
+                                  std::chrono::nanoseconds(tape[i].first));
     // Open loop: everything due fires now even if we're behind
     // schedule — the arrival process never waits for the system.
-    wheel.advance(now_ns(), [&](Time, std::size_t s) {
-      if (im.closed.load(std::memory_order_acquire)) return;
-      if (offer(lane, streams[s].make_job())) ++accepted;
-    });
+    const Time now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         Clock::now() - epoch)
+                         .count();
+    for (; i < tape.size() && tape[i].first <= now; ++i) {
+      if (im.closed.load(std::memory_order_acquire)) return accepted;
+      if (offer(lane, streams[tape[i].second].make_job())) ++accepted;
+    }
   }
   return accepted;
 }

@@ -12,9 +12,9 @@
 // admission control the backpressure mechanism (overload never grows
 // an unbounded backlog; it turns into accounted rejections).
 //
-// Timer-wheel arrivals: drive_open_loop() paces any number of
-// pre-generated arrival streams through a runtime::TimerWheel shard in
-// the calling thread, firing offer() at each arrival time — the
+// Open-loop arrivals: drive_open_loop() sorts any number of
+// pre-generated arrival streams into one tape and paces it in the
+// calling thread, firing offer() at each arrival time — the
 // open-loop load generator a latency SLO must be measured under
 // (closed-loop generators hide queueing delay; see bench/soak_service).
 //
@@ -96,19 +96,19 @@ class Service {
   bool offer(int lane, rt::RtJob job);
 
   /// One arrival stream for drive_open_loop: fire make_job() at each
-  /// arrival time (ns, relative to the call).  Arrival times must be
-  /// in any order the wheel can hold — they need not be sorted.
+  /// arrival time (ns, relative to the call).  Arrival times may come
+  /// in any order — they need not be sorted.
   struct ArrivalStream {
     std::vector<Time> arrivals;
     std::function<rt::RtJob()> make_job;
   };
 
-  /// Open-loop load generator: pace all streams' arrivals through a
-  /// timer wheel, offering into `lane` at each firing (arrivals due
-  /// while behind schedule fire immediately — open-loop means the
-  /// schedule never waits for the system).  Blocks until every arrival
-  /// has fired or ingest is closed; returns how many offers were
-  /// accepted.  Call from the lane's producer thread.
+  /// Open-loop load generator: fire all streams' arrivals in time
+  /// order (ties in stream order), offering into `lane` at each firing
+  /// (arrivals due while behind schedule fire immediately — open-loop
+  /// means the schedule never waits for the system).  Blocks until
+  /// every arrival has fired or ingest is closed; returns how many
+  /// offers were accepted.  Call from the lane's producer thread.
   std::int64_t drive_open_loop(int lane, std::vector<ArrivalStream> streams);
 
   /// Make every subsequent offer() return false and stop open-loop

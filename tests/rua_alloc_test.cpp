@@ -31,7 +31,11 @@ std::atomic<bool> g_counting{false};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Neither replacement is inlined: GCC 12 would otherwise see malloc'd
+// memory reach operator delete, or operator new's memory reach free,
+// at an inlined call site and warn (-Wmismatched-new-delete), though
+// the pair matches malloc with free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
@@ -40,7 +44,7 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   if (g_counting.load(std::memory_order_relaxed))
     g_frees.fetch_add(1, std::memory_order_relaxed);

@@ -1,10 +1,11 @@
 // runtime::Service — the streaming front end over rt::Executor.
 // Covers the ingest conservation law (offered == submitted + rejected),
 // the sliding-window UAM admission gate in both shed and degrade
-// modes, lane backpressure, open-loop pacing through the timer wheel,
-// and the close_ingest() shutdown sequencing.
+// modes, lane backpressure, open-loop pacing of unsorted arrival
+// streams in time order, and the close_ingest() shutdown sequencing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -177,6 +178,43 @@ TEST(Service, DriveOpenLoopPacesArrivalsOnTheWheel) {
   EXPECT_LE(rep.exec.sojourn_p99_ns, rep.exec.sojourn_p999_ns);
   EXPECT_LE(rep.exec.ingest_p50_ns, rep.exec.ingest_p99_ns);
   EXPECT_LE(rep.exec.ingest_p99_ns, rep.exec.ingest_p999_ns);
+}
+
+TEST(Service, DriveOpenLoopFiresUnsortedStreamsInTimeOrder) {
+  const sched::RuaScheduler rua(sched::Sharing::kLockFree);
+  ServiceConfig cfg;
+  cfg.executor.cpu_count = 2;
+  Service svc(rua, std::move(cfg));
+
+  // Three streams, each listed out of order; streams 0 and 2 share
+  // every arrival time.  Ties fire in stream order.
+  const std::vector<std::vector<Time>> arrivals = {
+      {msec(8), msec(0), msec(4)},
+      {msec(6), msec(2), msec(10)},
+      {msec(4), msec(8), msec(0)},
+  };
+  std::vector<std::size_t> fired;  // make_job runs on this thread only
+  std::vector<Service::ArrivalStream> streams(arrivals.size());
+  std::vector<std::pair<Time, std::size_t>> expected;
+  for (std::size_t s = 0; s < arrivals.size(); ++s) {
+    streams[s].arrivals = arrivals[s];
+    streams[s].make_job = [&fired, s] {
+      fired.push_back(s);
+      return quick_job();
+    };
+    for (const Time at : arrivals[s]) expected.emplace_back(at, s);
+  }
+  std::sort(expected.begin(), expected.end());
+
+  const std::int64_t accepted = svc.drive_open_loop(0, std::move(streams));
+  EXPECT_EQ(accepted, static_cast<std::int64_t>(expected.size()));
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(fired[i], expected[i].second) << "firing " << i;
+
+  const ServiceReport rep = svc.shutdown();
+  EXPECT_EQ(rep.offered, accepted);
+  EXPECT_EQ(rep.offered, rep.exec.submitted + rep.exec.rejected);
 }
 
 TEST(Service, CloseIngestStopsOffersAndOpenLoopDrivers) {
