@@ -132,6 +132,14 @@ inline const sched::Scheduler& scheduler_for(sim::ShareMode mode) {
              : static_cast<const sched::Scheduler&>(lf);
 }
 
+/// The RUA flavour for an object universe of one impl: lock-based RUA
+/// for every lock in the zoo, lock-free RUA for kLockFree.
+inline const sched::Scheduler& scheduler_for(runtime::ObjectImpl impl) {
+  return scheduler_for(runtime::is_lock_based(impl)
+                           ? sim::ShareMode::kLockBased
+                           : sim::ShareMode::kLockFree);
+}
+
 /// Build the simulator for one (series, repeat) cell exactly as the
 /// serial harness always has: per-cell seed = arrival_seed + repeat,
 /// per-task RNGs mixed from it.

@@ -4,15 +4,16 @@
 // The paper validates its analysis twice — simulation (Section 6) and a
 // POSIX middleware implementation (the meta-scheduler testbed).  This
 // bench is that discipline in-repo: one generated task set, identical
-// arrival traces (runtime::make_arrival_traces mirrors make_cell_sim's
-// seeding), run once through sim::Simulator and once through
-// rt::Executor via the runtime::run_on_executor adapter, under both the
-// lock-free and lock-based implementations of a chosen object *kind*
+// arrival traces (runtime::make_arrival_traces), run once through
+// sim::Simulator and once through rt::Executor via the
+// runtime::run_on_executor adapter, under every ObjectImpl of the zoo
+// (lock-free, mutex, ticket, anderson, mcs) for a chosen object *kind*
 // (queue by default; --objects= selects stack, buffer, or snapshot —
 // both substrates lower the same per-object ObjectSpec universe), in
-// underload and overload.  The simulator's access times s and r are
-// *calibrated*: measured on this host by the fig08 access-time
-// machinery via runtime::calibrate, not order-of-magnitude constants.
+// underload and overload.  Each impl runs under its RUA flavour
+// (lock-based RUA for every lock), and the simulator prices each access
+// from the per-(kind, impl) cost model runtime::calibrate measures on
+// this host, not from order-of-magnitude constants.
 //
 // Assertions (exit 1 on violation):
 //   * both substrates score the same job population (same counting rule
@@ -34,7 +35,9 @@
 //     runtime::to_json / from_json.
 //
 // Overload rows are reported (the substrates shed differently — the
-// executor pays real scheduling latency) but only sanity-checked.
+// executor pays real scheduling latency) but only sanity-checked.  The
+// summary line names the pair count, so a truncated grid is visible to
+// the scripts that pin it.
 //
 // The whole grid is swept at cpu_count ∈ {1, 2, 4}: the simulator's
 // multi-CPU dispatch and the executor's M-worker mode share the same
@@ -76,7 +79,7 @@ namespace {
 using namespace lfrt;
 
 struct XvalRow {
-  std::string regime;       // "lock-free" | "lock-based"
+  std::string impl;         // runtime::to_string(ObjectImpl)
   std::string load_label;   // "underload" | "overload"
   double load = 0.0;
   int cpus = 1;
@@ -137,11 +140,10 @@ bool check_heatmap(const rt::ExecutorReport& rep, std::int32_t objects,
 XvalRow run_pair(const workload::WorkloadSpec& spec,
                  runtime::ObjectKind kind, runtime::ObjectImpl impl,
                  const char* load_label, int cpus, int windows,
-                 std::uint64_t arrival_seed, Time s_time, Time r_time) {
+                 std::uint64_t arrival_seed,
+                 const runtime::CostModel& model) {
   const TaskSet ts = workload::make_task_set(spec);
-  const sim::ShareMode mode = impl == runtime::ObjectImpl::kLockFree
-                                  ? sim::ShareMode::kLockFree
-                                  : sim::ShareMode::kLockBased;
+  const sched::Scheduler& scheduler = bench::scheduler_for(impl);
   const auto specs = runtime::uniform_objects(ts.object_count, kind, impl);
 
   Time max_window = 0;
@@ -151,17 +153,15 @@ XvalRow run_pair(const workload::WorkloadSpec& spec,
 
   // --- simulator side, on the exact traces the executor will replay ---
   sim::SimConfig cfg;
-  cfg.mode = mode;
-  // Calibrated access times (runtime::calibrate): what one structure
-  // operation costs on THIS host, so the simulator predicts the
+  // Calibrated cells (runtime::calibrate): what one access of each
+  // (kind, impl) costs on THIS host, so the simulator predicts the
   // executor it is compared against.
-  cfg.lockfree_access_time = s_time;
-  cfg.lock_access_time = r_time;
+  cfg.cost_model = model;
   cfg.objects = specs;
   cfg.sched_ns_per_op = bench::kDefaultNsPerOp;
   cfg.cpu_count = cpus;
   cfg.horizon = horizon;
-  sim::Simulator sim(ts, bench::scheduler_for(mode), cfg);
+  sim::Simulator sim(ts, scheduler, cfg);
   const auto traces =
       runtime::make_arrival_traces(ts, horizon, arrival_seed,
                                    /*periodic=*/true);
@@ -177,10 +177,10 @@ XvalRow run_pair(const workload::WorkloadSpec& spec,
   ec.arrival_seed = arrival_seed;
   ec.periodic_arrivals = true;
   const rt::ExecutorReport exec_rep =
-      runtime::run_on_executor(ts, bench::scheduler_for(mode), ec);
+      runtime::run_on_executor(ts, scheduler, ec);
 
   XvalRow row;
-  row.regime = sim::to_string(mode);
+  row.impl = runtime::to_string(impl);
   row.load_label = load_label;
   row.load = spec.load;
   row.cpus = cpus;
@@ -276,18 +276,15 @@ int main(int argc, char** argv) {
   const double aur_tol = tiny ? 0.25 : 0.15;
   const std::uint64_t arrival_seed = 1000;
 
-  // Calibrate s and r on this host (satellite of the fig08 machinery):
-  // the simulator models what one access actually costs here.  Served
-  // from the per-host persistent cache when available; --recalibrate
-  // forces a fresh measurement and overwrites the cached entry.
-  const TaskSet cal_ts = workload::make_task_set(base);
+  // Calibrate the per-(kind, impl) cost model on this host: the
+  // simulator models what one access actually costs here.  Served from
+  // the persistent cache when available; --recalibrate forces a fresh
+  // measurement and overwrites the cached entry.
   runtime::CalibrateOptions cal_opts;
   cal_opts.force = recalibrate;
   const runtime::AccessCalibration cal =
-      runtime::calibrate(cal_ts, tiny ? 200 : 500, cal_opts);
-  std::cout << "calibrated access times: s = " << cal.lockfree_access_time
-            << " ns, r = " << cal.lock_access_time << " ns ("
-            << cal.samples << " samples"
+      runtime::calibrate(tiny ? 200 : 500, cal_opts);
+  std::cout << "calibrated cost model (" << cal.samples << " samples"
             << (cal.from_cache ? ", cached" : ", measured") << ")\n";
 
   std::vector<int> cpu_sweep = {1, 2, 4};
@@ -295,25 +292,23 @@ int main(int argc, char** argv) {
 
   std::vector<XvalRow> rows;
   for (const int cpus : cpu_sweep) {
-    for (const runtime::ObjectImpl impl :
-         {runtime::ObjectImpl::kLockFree, runtime::ObjectImpl::kMutex}) {
+    for (const runtime::ObjectImpl impl : runtime::all_object_impls()) {
       for (const auto& [label, load] :
            std::vector<std::pair<const char*, double>>{{"underload", 0.35},
                                                        {"overload", 1.2}}) {
         workload::WorkloadSpec spec = base;
         spec.load = load;
         rows.push_back(run_pair(spec, kind, impl, label, cpus, windows,
-                                arrival_seed, cal.lockfree_access_time,
-                                cal.lock_access_time));
+                                arrival_seed, cal.model));
       }
     }
   }
 
-  Table table({"cpus", "regime", "load", "jobs s/x", "AUR sim", "AUR exec",
+  Table table({"cpus", "impl", "load", "jobs s/x", "AUR sim", "AUR exec",
                "CMR sim", "CMR exec", "retries s/x", "blk exec", "conc",
                "bound", "heat"});
   for (const XvalRow& r : rows) {
-    table.add_row({std::to_string(r.cpus), r.regime, r.load_label,
+    table.add_row({std::to_string(r.cpus), r.impl, r.load_label,
                    std::to_string(r.jobs_sim) + "/" +
                        std::to_string(r.jobs_exec),
                    Table::num(r.aur_sim, 3), Table::num(r.aur_exec, 3),
@@ -331,38 +326,38 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const XvalRow& r : rows) {
     if (r.jobs_sim != r.jobs_exec) {
-      std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
+      std::cerr << "error: cpus=" << r.cpus << " " << r.impl << "/"
                 << r.load_label << ": job populations differ (sim "
                 << r.jobs_sim << ", exec " << r.jobs_exec << ")\n";
       ok = false;
     }
     if (!r.bound_ok) {
-      std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
+      std::cerr << "error: cpus=" << r.cpus << " " << r.impl << "/"
                 << r.load_label
                 << ": executor retries exceed the Theorem 2 bound\n";
       ok = false;
     }
     if (!r.heat_ok) {
-      std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
+      std::cerr << "error: cpus=" << r.cpus << " " << r.impl << "/"
                 << r.load_label << ": contention heatmap invariants broken\n";
       ok = false;
     }
     if (r.max_conc > r.cpus) {
-      std::cerr << "error: cpus=" << r.cpus << " " << r.regime << "/"
+      std::cerr << "error: cpus=" << r.cpus << " " << r.impl << "/"
                 << r.load_label << ": " << r.max_conc
                 << " bodies executed at once on " << r.cpus << " CPUs\n";
       ok = false;
     }
     if (r.load_label == "underload") {
       if (std::abs(r.aur_sim - r.aur_exec) > aur_tol) {
-        std::cerr << "error: cpus=" << r.cpus << " " << r.regime
+        std::cerr << "error: cpus=" << r.cpus << " " << r.impl
                   << "/underload: |AUR_sim - AUR_exec| = "
                   << std::abs(r.aur_sim - r.aur_exec) << " > " << aur_tol
                   << "\n";
         ok = false;
       }
       if (std::abs(r.cmr_sim - r.cmr_exec) > aur_tol) {
-        std::cerr << "error: cpus=" << r.cpus << " " << r.regime
+        std::cerr << "error: cpus=" << r.cpus << " " << r.impl
                   << "/underload: |CMR_sim - CMR_exec| = "
                   << std::abs(r.cmr_sim - r.cmr_exec) << " > " << aur_tol
                   << "\n";
@@ -384,19 +379,18 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::cout << "\nobjects=" << runtime::to_string(kind)
-            << ", underload AUR/CMR tolerance " << aur_tol << ": "
+  std::cout << "\nobjects=" << runtime::to_string(kind) << ", "
+            << rows.size() << " pairs, underload AUR/CMR tolerance "
+            << aur_tol << ": "
             << (ok ? "agreement confirmed" : "DISAGREEMENT") << "\n";
 
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"ext_executor_validation\",\n  \"objects\": \""
-     << runtime::to_string(kind) << "\",\n  \"calibrated_s_ns\": "
-     << cal.lockfree_access_time << ",\n  \"calibrated_r_ns\": "
-     << cal.lock_access_time << ",\n  \"tolerance\": " << aur_tol
+     << runtime::to_string(kind) << "\",\n  \"tolerance\": " << aur_tol
      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const XvalRow& r = rows[i];
-    os << "    {\"cpus\": " << r.cpus << ", \"regime\": \"" << r.regime
+    os << "    {\"cpus\": " << r.cpus << ", \"impl\": \"" << r.impl
        << "\", \"load\": \"" << r.load_label << "\", \"al\": " << r.load
        << ", \"jobs_sim\": " << r.jobs_sim
        << ", \"jobs_exec\": " << r.jobs_exec
@@ -425,7 +419,7 @@ int main(int argc, char** argv) {
   // proven round-trippable by check_heatmap above.
   const XvalRow* rep_row = nullptr;
   for (const XvalRow& r : rows)
-    if (r.regime == "lock-free" && r.load_label == "underload") rep_row = &r;
+    if (r.impl == "lock-free" && r.load_label == "underload") rep_row = &r;
   if (rep_row != nullptr && !rep_row->exec_json.empty()) {
     std::ofstream ros(report_path);
     ros << rep_row->exec_json << "\n";

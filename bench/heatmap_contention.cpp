@@ -21,15 +21,14 @@
 //     substrates (three-way attribution agreement: structure counters,
 //     job tallies, heatmap cells all count the same events),
 //   * the executor report — heatmap included — round-trips through
-//     runtime::to_json / from_json bit-exactly,
-//   * sim-vs-executor underload AUR agreement on the queue kind at
-//     cpus {1, 4} for every impl, within the cross-validation
-//     tolerance (0.15, relaxed to 0.25 under --tiny).
+//     runtime::to_json / from_json bit-exactly.
+//
+// Sim-vs-executor AUR/CMR agreement for every impl is gated by
+// ext_executor_validation, on the same calibrated cost model.
 //
 // Usage: heatmap_contention [--tiny] [--threads=N] [--out FILE]
 //   --tiny   smoke mode for check.sh/CI: short horizon
 //   --out    JSON output path (default BENCH_heatmap.json in the cwd)
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,15 +49,6 @@ struct ComboResult {
   runtime::ObjectImpl impl;
   rt::ExecutorReport exec;
   sim::SimReport sim;
-  bool ok = true;
-};
-
-/// One sim/executor pair on the underload agreement workload.
-struct AgreementRow {
-  runtime::ObjectImpl impl;
-  int cpus = 0;
-  double aur_sim = 0.0;
-  double aur_exec = 0.0;
   bool ok = true;
 };
 
@@ -113,49 +103,6 @@ void append_matrix_json(std::ofstream& os, const runtime::ContentionMatrix& m) {
   os << "]}";
 }
 
-/// Run the underload agreement workload on queue objects with `impl`:
-/// simulator with the calibrated cost model enabled vs executor, both
-/// on the same arrival trace.
-AgreementRow run_agreement(const TaskSet& ts, runtime::ObjectImpl impl,
-                           int cpus, Time horizon, std::uint64_t seed,
-                           const runtime::AccessCalibration& cal,
-                           double tol) {
-  const sim::ShareMode mode = runtime::is_lock_based(impl)
-                                  ? sim::ShareMode::kLockBased
-                                  : sim::ShareMode::kLockFree;
-  const auto specs = runtime::uniform_objects(
-      ts.object_count, runtime::ObjectKind::kQueue, impl);
-
-  runtime::ExecConfig ec;
-  ec.horizon = horizon;
-  ec.objects = specs;
-  ec.cpu_count = cpus;
-  ec.arrival_seed = seed;
-  ec.periodic_arrivals = true;
-
-  sim::SimConfig cfg;
-  cfg.mode = mode;
-  cfg.cost_model = cal.model;
-  cfg.objects = specs;
-  cfg.sched_ns_per_op = bench::kDefaultNsPerOp;
-  cfg.cpu_count = cpus;
-  cfg.horizon = horizon;
-  sim::Simulator sim(ts, bench::scheduler_for(mode), cfg);
-  const auto traces =
-      runtime::make_arrival_traces(ts, horizon, seed, /*periodic=*/true);
-  for (const auto& t : ts.tasks)
-    sim.set_arrivals(t.id, traces[static_cast<std::size_t>(t.id)]);
-
-  AgreementRow row;
-  row.impl = impl;
-  row.cpus = cpus;
-  row.aur_sim = sim.run().aur();
-  row.aur_exec =
-      runtime::run_on_executor(ts, bench::scheduler_for(mode), ec).aur();
-  row.ok = std::abs(row.aur_sim - row.aur_exec) <= tol;
-  return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,18 +153,15 @@ int main(int argc, char** argv) {
   // from the persistent cache when a schema-current entry with a full
   // cell table exists, measured (and cached) otherwise.
   const runtime::AccessCalibration cal =
-      runtime::calibrate(ts, tiny ? 200 : 500);
-  std::cout << "calibrated: s = " << cal.lockfree_access_time
-            << " ns, r = " << cal.lock_access_time << " ns, cost model ("
-            << (cal.from_cache ? "cached" : "measured") << ")\n";
+      runtime::calibrate(tiny ? 200 : 500);
+  std::cout << "calibrated cost model (" << cal.samples << " samples"
+            << (cal.from_cache ? ", cached" : ", measured") << ")\n";
 
   bool ok = true;
   std::vector<ComboResult> combos;
   for (const runtime::ObjectKind kind : runtime::all_object_kinds()) {
     for (const runtime::ObjectImpl impl : runtime::all_object_impls()) {
-      const sim::ShareMode mode = runtime::is_lock_based(impl)
-                                      ? sim::ShareMode::kLockBased
-                                      : sim::ShareMode::kLockFree;
+      const sched::Scheduler& scheduler = bench::scheduler_for(impl);
       const auto specs =
           runtime::uniform_objects(ts.object_count, kind, impl);
 
@@ -229,13 +173,12 @@ int main(int argc, char** argv) {
       ec.periodic_arrivals = true;
 
       sim::SimConfig cfg;
-      cfg.mode = mode;
       cfg.cost_model = cal.model;
       cfg.objects = specs;
       cfg.sched_ns_per_op = bench::kDefaultNsPerOp;
       cfg.cpu_count = cpus;
       cfg.horizon = horizon;
-      sim::Simulator sim(ts, bench::scheduler_for(mode), cfg);
+      sim::Simulator sim(ts, scheduler, cfg);
       const auto traces = runtime::make_arrival_traces(
           ts, horizon, arrival_seed, /*periodic=*/true);
       for (const auto& t : ts.tasks)
@@ -245,7 +188,7 @@ int main(int argc, char** argv) {
       res.kind = kind;
       res.impl = impl;
       res.sim = sim.run();
-      res.exec = runtime::run_on_executor(ts, bench::scheduler_for(mode), ec);
+      res.exec = runtime::run_on_executor(ts, scheduler, ec);
 
       const auto tasks32 = static_cast<std::int32_t>(ts.tasks.size());
       res.ok = check_matrix(res.exec, ts.object_count, tasks32, "executor") &&
@@ -283,50 +226,6 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // ---- sim-vs-executor agreement on the queue kind -------------------
-  // Underload, ms-scale jobs (the cross-validation recipe: agreement
-  // must be a property of the substrates, not scheduling-latency
-  // noise), every impl, cpus {1, 4}.  The simulator runs with the
-  // calibrated cost model enabled, so this is the end-to-end check that
-  // the per-impl cells predict the executor's new lock mechanisms.
-  workload::WorkloadSpec agree_spec;
-  agree_spec.task_count = 6;
-  agree_spec.object_count = 3;
-  agree_spec.accesses_per_job = 2;
-  agree_spec.avg_exec = msec(2);
-  agree_spec.load = 0.35;
-  agree_spec.tuf_class = workload::TufClass::kStep;
-  agree_spec.seed = 7;
-  const TaskSet ats = workload::make_task_set(agree_spec);
-  Time agree_window = 0;
-  for (const auto& t : ats.tasks)
-    agree_window = std::max(agree_window, t.arrival.window);
-  const Time agree_horizon = agree_window * (tiny ? 2 : 6);
-  const double tol = tiny ? 0.25 : 0.15;
-
-  std::vector<AgreementRow> agree;
-  for (const int acpus : {1, 4})
-    for (const runtime::ObjectImpl impl : runtime::all_object_impls())
-      agree.push_back(
-          run_agreement(ats, impl, acpus, agree_horizon, 3000, cal, tol));
-
-  std::cout << "\nqueue-kind underload agreement (|AUR_sim - AUR_exec| <= "
-            << tol << "):\n";
-  Table atable({"cpus", "impl", "AUR sim", "AUR exec", "delta", "check"});
-  for (const AgreementRow& r : agree) {
-    const double delta = std::abs(r.aur_sim - r.aur_exec);
-    atable.add_row({std::to_string(r.cpus), runtime::to_string(r.impl),
-                    Table::num(r.aur_sim, 3), Table::num(r.aur_exec, 3),
-                    Table::num(delta, 3), r.ok ? "ok" : "DISAGREE"});
-    if (!r.ok) {
-      std::cerr << "error: queue/" << runtime::to_string(r.impl)
-                << " cpus=" << r.cpus << ": |AUR_sim - AUR_exec| = " << delta
-                << " > " << tol << "\n";
-      ok = false;
-    }
-  }
-  atable.print();
-
   // Show the executor heatmap of the combo with the most attributed
   // events — the table a deadline post-mortem would start from.
   const ComboResult* hottest = nullptr;
@@ -363,14 +262,6 @@ int main(int argc, char** argv) {
     os << ", \"heatmap_sim\": ";
     append_matrix_json(os, c.sim.contention);
     os << "}" << (i + 1 < combos.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"agreement\": [\n";
-  for (std::size_t i = 0; i < agree.size(); ++i) {
-    const AgreementRow& r = agree[i];
-    os << "    {\"impl\": \"" << runtime::to_string(r.impl)
-       << "\", \"cpus\": " << r.cpus << ", \"aur_sim\": " << r.aur_sim
-       << ", \"aur_exec\": " << r.aur_exec << "}"
-       << (i + 1 < agree.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   if (!os) {

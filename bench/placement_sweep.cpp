@@ -242,10 +242,8 @@ int main(int argc, char** argv) {
 
   runtime::CalibrateOptions cal_opts;
   cal_opts.force = recalibrate;
-  const runtime::AccessCalibration cal = runtime::calibrate(ts, 500, cal_opts);
-  std::cout << "calibrated access times: s = " << cal.lockfree_access_time
-            << " ns, r = " << cal.lock_access_time << " ns ("
-            << cal.samples << " samples"
+  const runtime::AccessCalibration cal = runtime::calibrate(500, cal_opts);
+  std::cout << "calibrated cost model (" << cal.samples << " samples"
             << (cal.from_cache ? ", cached" : ", measured") << ")\n";
 
   std::vector<Row> rows;
@@ -259,9 +257,7 @@ int main(int argc, char** argv) {
     for (const runtime::ObjectImpl impl : runtime::all_object_impls()) {
       const auto specs = runtime::uniform_objects(
           ts.object_count, runtime::ObjectKind::kQueue, impl);
-      const sim::ShareMode mode = runtime::is_lock_based(impl)
-                                      ? sim::ShareMode::kLockBased
-                                      : sim::ShareMode::kLockFree;
+      const sched::Scheduler& scheduler = bench::scheduler_for(impl);
       // One trace set per (cpus, impl): the placement axis replays it.
       const auto traces = runtime::make_arrival_traces(ts, horizon,
                                                        arrival_seed,
@@ -272,7 +268,6 @@ int main(int argc, char** argv) {
             make_placement(pl, cpus, ts.tasks.size());
 
         sim::SimConfig cfg;
-        cfg.mode = mode;
         // Deliberately inflated access windows (vs the ~100 ns calibrated
         // costs): the sim only records a retry/blocking when two access
         // windows overlap in simulated time, and at calibrated scale the
@@ -290,7 +285,7 @@ int main(int argc, char** argv) {
         cfg.cpu_count = cpus;
         cfg.horizon = horizon;
         cfg.dispatch.placement = placement;
-        sim::Simulator sim(ts, bench::scheduler_for(mode), cfg);
+        sim::Simulator sim(ts, scheduler, cfg);
         for (const auto& t : ts.tasks)
           sim.set_arrivals(t.id, traces[static_cast<std::size_t>(t.id)]);
         const sim::SimReport sim_rep = sim.run();
@@ -303,7 +298,7 @@ int main(int argc, char** argv) {
         ec.periodic_arrivals = true;
         ec.dispatch.placement = placement;
         const rt::ExecutorReport exec_rep =
-            runtime::run_on_executor(ts, bench::scheduler_for(mode), ec);
+            runtime::run_on_executor(ts, scheduler, ec);
 
         rows.push_back(summarize(sim_rep, ts, specs, cal.model, cpus, impl,
                                  pl, placement,
@@ -385,9 +380,7 @@ int main(int argc, char** argv) {
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"placement_sweep\",\n  \"host\": "
      << host << ",\n  \"objects\": \"queue\",\n"
-     << "  \"load\": " << base.load << ",\n  \"calibrated_s_ns\": "
-     << cal.lockfree_access_time << ",\n  \"calibrated_r_ns\": "
-     << cal.lock_access_time << ",\n  \"rows\": [\n";
+     << "  \"load\": " << base.load << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     os << "    {\"cpus\": " << r.cpus << ", \"impl\": \"" << r.impl

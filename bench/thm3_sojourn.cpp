@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
             << Table::num(min_threshold, 3) << ")\n";
 
   // ---- part two: per-impl crossover with calibrated cost shapes ------
-  const runtime::AccessCalibration cal = runtime::calibrate(ts, 300);
+  const runtime::AccessCalibration cal = runtime::calibrate(300);
   std::cout << "\nper-impl crossover — calibrated cost model ("
             << (cal.from_cache ? "cached" : "measured") << "):\n";
 

@@ -28,8 +28,9 @@
 #      concurrent latency histogram and the streaming Service
 #      ingest/admission front end (latency_histogram_test,
 #      service_test),
-#   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must report a non-empty
-#      objects × tasks contention matrix for every kind × impl combo,
+#   3. -O2 build, tier-1 suite, a heatmap_contention smoke that must
+#      report a non-empty objects × tasks contention matrix for every
+#      kind × impl combo,
 #      a shard_adaptive smoke (adaptive-sharding invariants live), a
 #      soak_service smoke, the full placement_sweep certification
 #      grid, and two 3 s perfbench sim-sweep runs (seeds 1 and 7)
@@ -37,11 +38,16 @@
 #      whose first-pass digests are pinned.
 #
 # Stages 1 and 2 also run the cross-substrate validation bench
-# (ext_executor_validation --tiny): real executor runs under each
-# sanitizer, with the sim-vs-executor agreement assertions live.  The
-# TSan stage runs it twice — once at cpu_count=1 and once at
-# cpu_count=4 — so races between genuinely overlapping workers cannot
-# regress silently.
+# (ext_executor_validation --tiny): real executor runs of every impl in
+# the zoo under each sanitizer, with the sim-vs-executor agreement
+# assertions live (the simulator priced by the calibrated per-(kind,
+# impl) cost model).  The TSan stage runs it twice — once at
+# cpu_count=1 and once at cpu_count=4 — so races between genuinely
+# overlapping workers cannot regress silently.  Each run's summary line
+# is pinned with its pair count (5 impls × 2 loads per cpu_count), so
+# a truncated grid fails.  Calibration-cache entries are keyed on the
+# build flavour, so the sanitized stages never price stage 3's
+# optimized simulator.
 #
 # Usage: scripts/check.sh [jobs]      (default: nproc)
 set -euo pipefail
@@ -54,9 +60,12 @@ cmake -B build-asan -S . -DLFRT_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-./build-asan/bench/ext_executor_validation --tiny \
+XVAL_OUT=$(./build-asan/bench/ext_executor_validation --tiny \
       --out build-asan/BENCH_xval_smoke.json \
-      --report-out build-asan/BENCH_xval_report.json
+      --report-out build-asan/BENCH_xval_report.json)
+echo "$XVAL_OUT" | tail -n 3
+echo "$XVAL_OUT" | grep -q \
+      'objects=queue, 30 pairs, underload AUR/CMR tolerance 0.25: agreement confirmed'
 
 echo "==> [2/3] thread-sanitizer build + concurrency tests (build-tsan/)"
 cmake -B build-tsan -S . -DLFRT_SANITIZE=thread \
@@ -75,12 +84,18 @@ cmake --build build-tsan -j "$JOBS" \
 # The suite regex lives in one file, which CI's TSan job reads too.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R "$(cat scripts/tsan_suites.txt)"
-./build-tsan/bench/ext_executor_validation --tiny --cpus=1 \
+XVAL_OUT=$(./build-tsan/bench/ext_executor_validation --tiny --cpus=1 \
       --out build-tsan/BENCH_xval_smoke.json \
-      --report-out build-tsan/BENCH_xval_report.json
-./build-tsan/bench/ext_executor_validation --tiny --cpus=4 \
+      --report-out build-tsan/BENCH_xval_report.json)
+echo "$XVAL_OUT" | tail -n 3
+echo "$XVAL_OUT" | grep -q \
+      'objects=queue, 10 pairs, underload AUR/CMR tolerance 0.25: agreement confirmed'
+XVAL_OUT=$(./build-tsan/bench/ext_executor_validation --tiny --cpus=4 \
       --out build-tsan/BENCH_xval_smoke_cpu4.json \
-      --report-out build-tsan/BENCH_xval_report_cpu4.json
+      --report-out build-tsan/BENCH_xval_report_cpu4.json)
+echo "$XVAL_OUT" | tail -n 3
+echo "$XVAL_OUT" | grep -q \
+      'objects=queue, 10 pairs, underload AUR/CMR tolerance 0.25: agreement confirmed'
 
 echo "==> [3/3] optimized build + tests + bench smoke (build-o2/)"
 cmake -B build-o2 -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

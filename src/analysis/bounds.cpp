@@ -136,15 +136,6 @@ Time effective_access_cost(const TaskSet& ts, TaskId i,
                               contenders);
 }
 
-Time worst_sojourn_cost(const TaskSet& ts, TaskId i,
-                        runtime::ObjectKind kind, runtime::ObjectImpl impl,
-                        const runtime::CostModel& model) {
-  const Time t_eff = effective_access_cost(ts, i, kind, impl, model);
-  return runtime::is_lock_based(impl)
-             ? worst_sojourn_lockbased(ts, i, t_eff)
-             : worst_sojourn_lockfree(ts, i, t_eff);
-}
-
 bool lockfree_wins_cost(const TaskSet& ts, TaskId i,
                         runtime::ObjectKind kind,
                         runtime::ObjectImpl lock_impl,

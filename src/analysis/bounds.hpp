@@ -116,13 +116,6 @@ Time effective_access_cost(const TaskSet& ts, TaskId i,
                            runtime::ObjectImpl impl,
                            const runtime::CostModel& model);
 
-/// Worst-case sojourn of task i when every object is (kind, impl):
-/// worst_sojourn_lockbased(t_eff) for lock impls, _lockfree(t_eff) for
-/// kLockFree.
-Time worst_sojourn_cost(const TaskSet& ts, TaskId i,
-                        runtime::ObjectKind kind, runtime::ObjectImpl impl,
-                        const runtime::CostModel& model);
-
 /// Theorem 3 against the calibrated cells: true iff s_eff/r_eff — the
 /// lock-free cell's effective cost over the lock impl's — is below
 /// task i's ratio threshold, i.e. lock-free is guaranteed the shorter

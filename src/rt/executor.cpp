@@ -306,7 +306,6 @@ struct Executor::Impl {
     } else {
       slab.emplace_back();
       r = &slab.back();
-      report.record_slab_size = static_cast<std::int64_t>(slab.size());
     }
     r->reset();
     return r;

@@ -160,10 +160,6 @@ struct ExecutorReport : runtime::RunReport {
   /// 100k-job run (tests/executor_reclaim_test.cpp).
   std::int64_t peak_live_records = 0;
 
-  /// JobRec slab size at shutdown == peak_live_records ever reached
-  /// (records are free-listed, the slab never shrinks).
-  std::int64_t record_slab_size = 0;
-
   /// Worker threads ever started (pool high-water; the pool never
   /// shrinks during a run).
   std::int64_t worker_pool_peak = 0;
@@ -332,10 +328,6 @@ class IngestLane {
   /// service must stop its producers before shutting the executor
   /// down (runtime::Service::close_ingest sequences this).
   bool offer(RtJob job);
-
-  /// True when the scheduling thread has consumed everything offered
-  /// so far.
-  bool drained() const { return ring_.empty(); }
 
  private:
   friend class Executor;

@@ -21,16 +21,35 @@
 namespace lfrt::runtime {
 namespace {
 
-// One cached measurement.  Entries are keyed by (host, cpus, samples):
-// access times are a property of the machine and the sample budget, not
-// of the workload shape, so distinct benches on one host share a hit.
+// The build flavour a measurement was taken under.  Sanitizer
+// instrumentation and the optimizer change every cell, so an entry a
+// sanitized build wrote must not price an optimized one (and back).
+constexpr const char* kBuildFlavour =
+#if defined(__SANITIZE_ADDRESS__)
+    "asan";
+#elif defined(__SANITIZE_THREAD__)
+    "tsan";
+#elif defined(__OPTIMIZE__)
+    "optimized";
+#else
+    "unoptimized";
+#endif
+
+// One cached measurement.  Entries are keyed by (host, cpus, samples,
+// flavour): cell costs are a property of the machine, the sample budget
+// and the build, not of the workload shape, so distinct benches of one
+// build on one host share a hit.
 struct CacheEntry {
   std::string host;
   std::int64_t cpus = 0;
   std::int64_t samples = 0;
-  Time lockfree_ns = 0;
-  Time lock_ns = 0;
+  std::string flavour;
   CostModel model;
+
+  bool same_key(const CacheEntry& o) const {
+    return host == o.host && cpus == o.cpus && samples == o.samples &&
+           flavour == o.flavour;
+  }
 };
 
 // Cache degradation is warned about exactly once per process: a bench
@@ -77,13 +96,14 @@ std::vector<CacheEntry> load_cache(const std::string& path) {
       if (eo == nullptr) continue;
       CacheEntry e;
       const jsonmin::JsonValue* h = jsonmin::find(*eo, "host");
+      const jsonmin::JsonValue* fl = jsonmin::find(*eo, "flavour");
       const std::string* hs = h != nullptr ? h->as_string() : nullptr;
-      if (hs == nullptr) continue;
+      const std::string* fs = fl != nullptr ? fl->as_string() : nullptr;
+      if (hs == nullptr || fs == nullptr) continue;
       e.host = *hs;
+      e.flavour = *fs;
       e.cpus = jsonmin::get_int(*eo, "cpus");
       e.samples = jsonmin::get_int(*eo, "samples");
-      e.lockfree_ns = jsonmin::get_int(*eo, "lockfree_ns");
-      e.lock_ns = jsonmin::get_int(*eo, "lock_ns");
       // The per-(kind, impl) table: every cell must parse for the entry
       // to count; a partial table is dropped (a miss, re-measured)
       // rather than serving half-measured costs.
@@ -112,8 +132,7 @@ std::vector<CacheEntry> load_cache(const std::string& path) {
           }
         }
       }
-      if (cells_seen == kObjectKindCount * kObjectImplCount &&
-          e.lockfree_ns > 0 && e.lock_ns > 0)
+      if (cells_seen == kObjectKindCount * kObjectImplCount)
         entries.push_back(std::move(e));
     }
   } catch (const std::exception&) {
@@ -144,8 +163,8 @@ void store_cache(const std::string& path,
     append_json_string(out, e.host);
     out += ",\"cpus\":" + std::to_string(e.cpus);
     out += ",\"samples\":" + std::to_string(e.samples);
-    out += ",\"lockfree_ns\":" + std::to_string(e.lockfree_ns);
-    out += ",\"lock_ns\":" + std::to_string(e.lock_ns);
+    out += ",\"flavour\":";
+    append_json_string(out, e.flavour);
     out += ",\"cells\":[";
     bool first = true;
     for (ObjectKind kind : all_object_kinds()) {
@@ -218,8 +237,8 @@ Time round_ns(double ns) {
   return t < 0 ? 0 : t;
 }
 
-}  // namespace
-
+/// Measure one AccessCost cell per (kind, impl) combo on this host (see
+/// the header comment for the method); `ops` accesses per pass.
 CostModel measure_cost_model(std::int64_t ops) {
   CostModel model;
   // Contended pass capped at the core count: the zoo's locks spin, and
@@ -255,6 +274,8 @@ CostModel measure_cost_model(std::int64_t ops) {
   return model;
 }
 
+}  // namespace
+
 std::string calibration_cache_path() {
   if (const char* env = std::getenv("LFRT_CALIBRATION_CACHE");
       env != nullptr && env[0] != '\0')
@@ -270,19 +291,7 @@ std::string calibration_cache_path() {
   return {};
 }
 
-AccessCalibration calibrate_access_times(const rt::AccessTimeConfig& mcfg) {
-  const rt::AccessTimeResult lf = rt::measure_lockfree_access(mcfg);
-  const rt::AccessTimeResult lb = rt::measure_lockbased_access(mcfg);
-  AccessCalibration cal;
-  cal.lockfree_access_time = std::max<Time>(
-      1, static_cast<Time>(std::llround(lf.per_access_ns.mean())));
-  cal.lock_access_time = std::max<Time>(
-      1, static_cast<Time>(std::llround(lb.per_access_ns.mean())));
-  cal.samples = mcfg.samples;
-  return cal;
-}
-
-AccessCalibration calibrate(const TaskSet& ts, std::int64_t samples,
+AccessCalibration calibrate(std::int64_t samples,
                             const CalibrateOptions& opts) {
   const std::string path =
       opts.cache_path.empty() ? calibration_cache_path() : opts.cache_path;
@@ -294,44 +303,22 @@ AccessCalibration calibrate(const TaskSet& ts, std::int64_t samples,
     warn_once(warned_no_cache_location,
               "no calibration-cache location (LFRT_CALIBRATION_CACHE and "
               "HOME unset); calibrating uncached");
-  const std::string host = host_name();
-  const std::int64_t cpus = cpu_count();
+  CacheEntry fresh{host_name(), cpu_count(), samples, kBuildFlavour, {}};
 
   if (use_cache && !opts.force) {
-    for (const CacheEntry& e : load_cache(path)) {
-      if (e.host == host && e.cpus == cpus && e.samples == samples) {
-        AccessCalibration cal;
-        cal.lockfree_access_time = e.lockfree_ns;
-        cal.lock_access_time = e.lock_ns;
-        cal.samples = e.samples;
-        cal.from_cache = true;
-        cal.model = e.model;
-        return cal;
-      }
-    }
+    for (const CacheEntry& e : load_cache(path))
+      if (e.same_key(fresh)) return {e.model, samples, /*from_cache=*/true};
   }
 
-  rt::AccessTimeConfig mcfg;
-  mcfg.object_count = std::max<std::int32_t>(1, ts.object_count);
-  mcfg.task_count =
-      std::max<std::int32_t>(1, static_cast<std::int32_t>(ts.tasks.size()));
-  mcfg.samples = samples;
-  AccessCalibration cal = calibrate_access_times(mcfg);
-  cal.model = measure_cost_model(samples);
-
+  fresh.model = measure_cost_model(samples);
   if (use_cache) {
     std::vector<CacheEntry> entries = load_cache(path);
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&](const CacheEntry& e) {
-                                   return e.host == host && e.cpus == cpus &&
-                                          e.samples == samples;
-                                 }),
-                  entries.end());
-    entries.push_back({host, cpus, samples, cal.lockfree_access_time,
-                       cal.lock_access_time, cal.model});
+    std::erase_if(entries,
+                  [&](const CacheEntry& e) { return e.same_key(fresh); });
+    entries.push_back(fresh);
     store_cache(path, entries);
   }
-  return cal;
+  return {fresh.model, samples, /*from_cache=*/false};
 }
 
 }  // namespace lfrt::runtime

@@ -58,6 +58,19 @@ rt::RtJob make_job(const TaskParams& tp,
   return job;
 }
 
+/// cfg.objects when given (size-checked), else the uniform
+/// lock-free-queue default.
+std::vector<ObjectSpec> resolve_object_specs(const TaskSet& ts,
+                                             const ExecConfig& cfg) {
+  if (cfg.objects.empty())
+    return uniform_objects(ts.object_count, ObjectKind::kQueue,
+                           ObjectImpl::kLockFree);
+  LFRT_CHECK_MSG(static_cast<std::int32_t>(cfg.objects.size()) ==
+                     ts.object_count,
+                 "ExecConfig::objects must list one spec per object");
+  return cfg.objects;
+}
+
 }  // namespace
 
 std::vector<std::vector<Time>> make_arrival_traces(const TaskSet& ts,
@@ -72,17 +85,6 @@ std::vector<std::vector<Time>> make_arrival_traces(const TaskSet& ts,
                  : arrivals::random_conformant(t.arrival, horizon, rng);
   }
   return traces;
-}
-
-std::vector<ObjectSpec> resolve_object_specs(const TaskSet& ts,
-                                             const ExecConfig& cfg) {
-  if (cfg.objects.empty())
-    return uniform_objects(ts.object_count, ObjectKind::kQueue,
-                           ObjectImpl::kLockFree);
-  LFRT_CHECK_MSG(static_cast<std::int32_t>(cfg.objects.size()) ==
-                     ts.object_count,
-                 "ExecConfig::objects must list one spec per object");
-  return cfg.objects;
 }
 
 rt::ExecutorReport run_on_executor(const TaskSet& ts,

@@ -63,8 +63,8 @@ struct ExecConfig {
   /// instance; buffer/snapshot stay shared.
   sched::DispatchOptions dispatch;
 
-  /// Arrival seeding, mirroring bench::make_cell_sim: per-task RNG
-  /// seeded with `arrival_seed ^ (0xA5A5A5A5 * (id + 1))`, trace from
+  /// Arrival seeding (make_arrival_traces): per-task RNG seeded with
+  /// `arrival_seed ^ (0xA5A5A5A5 * (id + 1))`, trace from
   /// arrivals::periodic_phased (or random_conformant when !periodic).
   std::uint64_t arrival_seed = 1;
   bool periodic_arrivals = true;
@@ -86,20 +86,16 @@ struct ExecConfig {
   ControllerConfig controller;
 };
 
-/// Per-task arrival traces over [0, horizon], indexed by TaskId — byte-
-/// compatible with what bench::make_cell_sim feeds the simulator for
-/// the same seed, so a cross-validation run compares like with like.
+/// Per-task arrival traces over [0, horizon], indexed by TaskId.  With
+/// `periodic`, byte-compatible with what bench::make_cell_sim feeds the
+/// simulator for the same seed, so a cross-validation run compares like
+/// with like.  The random tapes are not: make_cell_sim's random path
+/// goes through Simulator::seed_arrivals, which mixes the seed with a
+/// different per-task constant.
 std::vector<std::vector<Time>> make_arrival_traces(const TaskSet& ts,
                                                    Time horizon,
                                                    std::uint64_t seed,
                                                    bool periodic);
-
-/// Resolve cfg.objects against the task set: the explicit per-object
-/// list when given (size-checked), else the uniform lock-free-queue
-/// default.  Exposed so cross-validation harnesses can lower the same
-/// universe into the simulator's SimConfig.
-std::vector<ObjectSpec> resolve_object_specs(const TaskSet& ts,
-                                             const ExecConfig& cfg);
 
 /// Replay `ts` on a fresh rt::Executor under `scheduler`: submit each
 /// admitted arrival at its trace time (wall clock), with a body that

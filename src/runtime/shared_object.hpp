@@ -172,11 +172,6 @@ class SharedObjectSet {
   void access(ObjectId o, AccessOp op, TaskId task, JobId job,
               const std::function<void()>& checkpoint);
 
-  /// Physical instances behind logical object `o` (1 unless scoped).
-  std::int32_t instances_of(ObjectId o) const {
-    return static_cast<std::int32_t>(instances(o).size());
-  }
-
   /// Live instance routing for `task` (placement migration).  Values
   /// are clamped into [0, instances) per object at access time.
   void set_task_instance(TaskId task, std::int32_t inst);

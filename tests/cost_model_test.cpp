@@ -12,9 +12,11 @@
 //     partitioned pair with per-cluster objects,
 //   * cache schema — the persistent calibration cache is gated on
 //     kCalibrationCacheSchema: a malformed file, a pre-zoo flat-format
-//     file (no "schema" key), or a current-schema entry without the
-//     full cell table all read as a miss, so calibrate() silently
-//     re-measures and overwrites in the current format.
+//     file (no "schema" key), a schema-2 file with flat s/r next to
+//     its cells, or a current-schema entry without the full cell table
+//     all read as a miss, so calibrate() silently re-measures and
+//     overwrites in the current format.  An entry written by another
+//     build flavour (sanitized vs optimized) is a miss too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -236,13 +238,9 @@ std::string read_file() {
 }
 
 runtime::AccessCalibration calibrate_here() {
-  workload::WorkloadSpec spec;
-  spec.task_count = 2;
-  spec.object_count = 2;
-  const TaskSet ts = workload::make_task_set(spec);
   runtime::CalibrateOptions opts;
   opts.cache_path = kCachePath;
-  return runtime::calibrate(ts, kSamples, opts);
+  return runtime::calibrate(kSamples, opts);
 }
 
 TEST(CalibrationCache, MalformedFileRecalibratesAndRewrites) {
@@ -250,18 +248,17 @@ TEST(CalibrationCache, MalformedFileRecalibratesAndRewrites) {
   const runtime::AccessCalibration cal = calibrate_here();
   EXPECT_FALSE(cal.from_cache);
   EXPECT_NE(cal.model, CostModel{});
-  EXPECT_GE(cal.lockfree_access_time, 1);
-  EXPECT_GE(cal.lock_access_time, 1);
+  EXPECT_EQ(cal.samples, kSamples);
 
   const std::string rewritten = read_file();
-  EXPECT_NE(rewritten.find("\"schema\":2"), std::string::npos);
+  EXPECT_NE(rewritten.find("\"schema\":3"), std::string::npos);
   EXPECT_NE(rewritten.find("\"cells\":"), std::string::npos);
   std::remove(kCachePath);
 }
 
 TEST(CalibrationCache, PreZooFlatSchemaReadsAsMiss) {
   // The pre-zoo format: no "schema" key, flat scalars only.  Must be
-  // treated exactly like a missing cache, then overwritten in v2.
+  // treated exactly like a missing cache, then overwritten in v3.
   write_file(R"({"entries":[{"host":"anyhost","cpus":1,"samples":64,)"
              R"("lockfree_ns":123,"lock_ns":456}]})");
   const runtime::AccessCalibration cal = calibrate_here();
@@ -272,14 +269,59 @@ TEST(CalibrationCache, PreZooFlatSchemaReadsAsMiss) {
   const runtime::AccessCalibration cal2 = calibrate_here();
   EXPECT_TRUE(cal2.from_cache);
   EXPECT_EQ(cal2.model, cal.model);
-  EXPECT_EQ(cal2.lockfree_access_time, cal.lockfree_access_time);
-  EXPECT_EQ(cal2.lock_access_time, cal.lock_access_time);
+
+  // A schema-2 file: flat s/r and a full cell table, no build flavour.
+  // The version gate makes it a miss, and it is rewritten as v3
+  // without the scalars.
+  std::string v2 = read_file();
+  const std::string v3_tag = "\"schema\":3";
+  const std::size_t tag = v2.find(v3_tag);
+  ASSERT_NE(tag, std::string::npos);
+  v2.replace(tag, v3_tag.size(), "\"schema\":2");
+  const std::size_t flavour = v2.find(",\"flavour\":");
+  const std::size_t cells = v2.find(",\"cells\":[");
+  ASSERT_NE(flavour, std::string::npos);
+  ASSERT_NE(cells, std::string::npos);
+  v2.replace(flavour, cells - flavour,
+             ",\"lockfree_ns\":123,\"lock_ns\":456");
+  write_file(v2);
+  const runtime::AccessCalibration cal3 = calibrate_here();
+  EXPECT_FALSE(cal3.from_cache);
+  const std::string rewritten = read_file();
+  EXPECT_NE(rewritten.find(v3_tag), std::string::npos);
+  EXPECT_EQ(rewritten.find("lockfree_ns"), std::string::npos);
+  EXPECT_EQ(rewritten.find("lock_ns"), std::string::npos);
+  EXPECT_TRUE(calibrate_here().from_cache);
+  std::remove(kCachePath);
+}
+
+TEST(CalibrationCache, OtherBuildFlavourIsAMiss) {
+  // Sanitizer instrumentation changes every cell: an entry a sanitized
+  // build wrote must not price an optimized run (and back).  Relabel
+  // this build's entry as another flavour; the next calibration must
+  // re-measure and keep both entries side by side.
+  std::remove(kCachePath);
+  ASSERT_FALSE(calibrate_here().from_cache);
+  std::string content = read_file();
+  const std::string key = "\"flavour\":\"";
+  const std::size_t at = content.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + key.size();
+  content.replace(value, content.find('"', value) - value, "other-build");
+  write_file(content);
+
+  EXPECT_FALSE(calibrate_here().from_cache);
+  const std::string rewritten = read_file();
+  EXPECT_NE(rewritten.find(key), rewritten.rfind(key));  // two entries
+  EXPECT_NE(rewritten.find("\"flavour\":\"other-build\""),
+            std::string::npos);
+  EXPECT_TRUE(calibrate_here().from_cache);
   std::remove(kCachePath);
 }
 
 TEST(CalibrationCache, SchemaCurrentEntryWithoutCellsIsAMiss) {
-  // Seed a valid v2 cache, then strip the cell table: a hit requires
-  // the *full* per-(kind, impl) model, not just the flat scalars.
+  // Seed a valid v3 cache, then strip the cell table: a hit requires
+  // the *full* per-(kind, impl) model.
   const runtime::AccessCalibration seeded = calibrate_here();
   ASSERT_FALSE(seeded.from_cache);
 
@@ -311,19 +353,14 @@ TEST(CalibrationCache, NoCacheLocationCalibratesUncachedWithoutFiles) {
   std::remove(".lfrt_calibration.json");
 
   EXPECT_TRUE(runtime::calibration_cache_path().empty());
-  workload::WorkloadSpec spec;
-  spec.task_count = 2;
-  spec.object_count = 2;
-  const TaskSet ts = workload::make_task_set(spec);
   runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(ts, kSamples));
+  EXPECT_NO_THROW(cal = runtime::calibrate(kSamples));
   EXPECT_FALSE(cal.from_cache);
   EXPECT_NE(cal.model, CostModel{});
-  EXPECT_GE(cal.lockfree_access_time, 1);
 
   // Still uncached on the second call (nothing was persisted), and the
   // cwd stays clean.
-  const runtime::AccessCalibration cal2 = runtime::calibrate(ts, kSamples);
+  const runtime::AccessCalibration cal2 = runtime::calibrate(kSamples);
   EXPECT_FALSE(cal2.from_cache);
   EXPECT_FALSE(std::ifstream(".lfrt_calibration.json").good());
 
@@ -336,15 +373,10 @@ TEST(CalibrationCache, UnwritableCachePathStillCalibrates) {
   // calibration — measure, warn once, move on.
   runtime::CalibrateOptions opts;
   opts.cache_path = "/proc/definitely/not/writable/cache.json";
-  workload::WorkloadSpec spec;
-  spec.task_count = 2;
-  spec.object_count = 2;
-  const TaskSet ts = workload::make_task_set(spec);
   runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(ts, kSamples, opts));
+  EXPECT_NO_THROW(cal = runtime::calibrate(kSamples, opts));
   EXPECT_FALSE(cal.from_cache);
   EXPECT_NE(cal.model, CostModel{});
-  EXPECT_GE(cal.lock_access_time, 1);
 }
 
 TEST(CalibrationCache, SecondCalibrationHits) {
