@@ -28,7 +28,8 @@
 //     while a writer is mid-flight, a retry class outside the theorem's
 //     CAS model,
 //   * no executor run ever has more job bodies executing at once than
-//     it has CPU slots (max_concurrency_observed <= cpu_count),
+//     it has CPU slots (max_concurrency_observed <= cpu_count, and so
+//     mean_concurrency_observed <= cpu_count),
 //   * every executor report's contention heatmap has objects × tasks
 //     cells whose retry/blocking sums equal the run's per-job totals
 //     (the attribution invariant), and round-trips bit-exactly through
@@ -84,6 +85,7 @@ struct XvalRow {
   double load = 0.0;
   int cpus = 1;
   int max_conc = 0;  // executor's max_concurrency_observed
+  double mean_conc = 0.0;  // executor's mean_concurrency_observed
   std::int64_t jobs_sim = 0;
   std::int64_t jobs_exec = 0;
   double aur_sim = 0.0, aur_exec = 0.0;
@@ -185,6 +187,7 @@ XvalRow run_pair(const workload::WorkloadSpec& spec,
   row.load = spec.load;
   row.cpus = cpus;
   row.max_conc = exec_rep.max_concurrency_observed;
+  row.mean_conc = exec_rep.mean_concurrency_observed;
   row.jobs_sim = sim_rep.counted_jobs;
   row.jobs_exec = exec_rep.counted_jobs;
   row.aur_sim = sim_rep.aur();
@@ -305,7 +308,7 @@ int main(int argc, char** argv) {
   }
 
   Table table({"cpus", "impl", "load", "jobs s/x", "AUR sim", "AUR exec",
-               "CMR sim", "CMR exec", "retries s/x", "blk exec", "conc",
+               "CMR sim", "CMR exec", "retries s/x", "blk exec", "conc max/mean",
                "bound", "heat"});
   for (const XvalRow& r : rows) {
     table.add_row({std::to_string(r.cpus), r.impl, r.load_label,
@@ -316,7 +319,8 @@ int main(int argc, char** argv) {
                    std::to_string(r.retries_sim) + "/" +
                        std::to_string(r.retries_exec),
                    std::to_string(r.blockings_exec),
-                   std::to_string(r.max_conc),
+                   std::to_string(r.max_conc) + "/" +
+                       Table::num(r.mean_conc, 2),
                    r.bound_ok ? "ok" : "VIOLATED",
                    r.heat_ok ? "ok" : "BROKEN"});
   }
@@ -342,10 +346,11 @@ int main(int argc, char** argv) {
                 << r.load_label << ": contention heatmap invariants broken\n";
       ok = false;
     }
-    if (r.max_conc > r.cpus) {
+    if (r.max_conc > r.cpus || r.mean_conc > r.cpus) {
       std::cerr << "error: cpus=" << r.cpus << " " << r.impl << "/"
-                << r.load_label << ": " << r.max_conc
-                << " bodies executed at once on " << r.cpus << " CPUs\n";
+                << r.load_label << ": " << r.max_conc << " (mean "
+                << r.mean_conc << ") bodies executed at once on " << r.cpus
+                << " CPUs\n";
       ok = false;
     }
     if (r.load_label == "underload") {
@@ -403,6 +408,7 @@ int main(int argc, char** argv) {
        << ", \"blockings_exec\": " << r.blockings_exec
        << ", \"retry_total_bound\": " << r.retry_total_bound
        << ", \"max_concurrency\": " << r.max_conc
+       << ", \"mean_concurrency\": " << r.mean_conc
        << ", \"bound_ok\": " << (r.bound_ok ? "true" : "false")
        << ", \"heatmap_ok\": " << (r.heat_ok ? "true" : "false") << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";

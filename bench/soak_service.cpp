@@ -304,7 +304,9 @@ void append_soak_json(std::ofstream& os, const char* name,
      << ",\n      \"total_retries\": " << e.total_retries
      << ", \"total_blockings\": " << e.total_blockings
      << ", \"peak_live_records\": " << e.peak_live_records
-     << ", \"worker_pool_peak\": " << e.worker_pool_peak << "}";
+     << ", \"worker_pool_peak\": " << e.worker_pool_peak
+     << ", \"mean_concurrency_observed\": " << e.mean_concurrency_observed
+     << "}";
 }
 
 }  // namespace

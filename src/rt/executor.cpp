@@ -102,8 +102,12 @@ struct Executor::Impl {
   int free_rights = cfg.cpu_count;
   std::vector<JobRec*> right_waiters;
   // Gauge of workers currently inside job bodies; feeds the report's
-  // max_concurrency_observed high-water mark.
+  // max_concurrency_observed high-water mark and, integrated over time
+  // from the first admission, its mean_concurrency_observed.
   int executing_now = 0;
+  Time first_admission = -1;
+  Time gauge_mark = 0;           // when executing_now last changed
+  std::int64_t body_slot_ns = 0;  // executing_now integrated up to then
   bool stopping = false;
   ExecutorReport report;
   runtime::LatencyHistogram sojourn_hist;  // completed jobs only
@@ -188,10 +192,17 @@ struct Executor::Impl {
 
   // --- helpers; all require mu held ---
 
+  void move_gauge(int delta) {
+    const Time t = now();
+    body_slot_ns += executing_now * (t - gauge_mark);
+    gauge_mark = t;
+    executing_now += delta;
+  }
+
   void enter_body(JobRec& r) {
     LFRT_CHECK(r.has_right);
     r.counted = true;
-    ++executing_now;
+    move_gauge(+1);
     LFRT_CHECK(executing_now <= cfg.cpu_count);
     report.max_concurrency_observed =
         std::max(report.max_concurrency_observed, executing_now);
@@ -202,7 +213,7 @@ struct Executor::Impl {
   void leave_body(JobRec& r) {
     if (!r.counted) return;
     r.counted = false;
-    --executing_now;
+    move_gauge(-1);
   }
 
   // A dispatched job takes a free right, else queues for one.
@@ -323,6 +334,7 @@ struct Executor::Impl {
     r->acct.task = r->spec.task;
     r->acct.arrival = arrival;
     r->acct.critical_abs = arrival + r->spec.tuf->critical_time();
+    if (first_admission < 0) first_admission = arrival;
     ++report.submitted;
     report.max_possible_utility += r->spec.tuf->max_utility();
     live.push_back(r);
@@ -608,6 +620,9 @@ struct Executor::Impl {
       sched_cv.notify_all();
     }
     drain();
+    // Every body has left, so body_slot_ns is final; the thread joins
+    // below are teardown, outside the gauge's window.
+    const Time drained = now();
     sched_thread.join();
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -622,6 +637,11 @@ struct Executor::Impl {
     // the historical id-order presentation restored (terminal order is
     // completion order).
     report.counted_jobs = report.submitted + report.rejected;
+    if (first_admission >= 0) {
+      report.mean_concurrency_observed =
+          static_cast<double>(body_slot_ns) /
+          static_cast<double>(std::max<Time>(1, drained - first_admission));
+    }
     if (cfg.retain_job_records) {
       std::sort(report.jobs.begin(), report.jobs.end(),
                 [](const Job& a, const Job& b) { return a.id < b.id; });

@@ -180,6 +180,13 @@ struct ExecutorReport : runtime::RunReport {
   /// execution rights, and a descheduled body keeps its right until it
   /// parks, so its replacement waits for it (see Executor).
   int max_concurrency_observed = 0;
+
+  /// Time-weighted mean number of job bodies executing, from the first
+  /// admission to shutdown: how much of the cpu_count slots bodies
+  /// actually held (abort handlers excluded, as above).  Never exceeds
+  /// cpu_count; cpu_count minus this is the capacity left idle, by a
+  /// slot waiting for its next body or by a lack of work.
+  double mean_concurrency_observed = 0;
 };
 
 /// Middleware UA scheduler over real threads.
@@ -262,9 +269,12 @@ class Executor {
   std::size_t submit_batch(RtJob* jobs, std::size_t count,
                            JobId* ids = nullptr);
 
-  /// Open a wait-free single-producer submission lane of the given
-  /// capacity.  The returned lane lives until shutdown.  Thread-safe,
-  /// but open all lanes before producers start offering.
+  /// Open a wait-free single-producer submission lane that holds up to
+  /// `capacity` offered jobs.  The capacity is a backpressure bound,
+  /// not a reservation: the lane's memory follows how many jobs it has
+  /// held at once (see IngestLane).  The returned lane lives until
+  /// shutdown.  Thread-safe, but open all lanes before producers start
+  /// offering.
   IngestLane& open_lane(std::size_t capacity);
 
   /// Install the admission filter applied to every lane-ingested job
@@ -312,17 +322,21 @@ class Executor {
 /// scheduling pass, so N offers cost ONE mutex acquisition instead of
 /// N.  A job's arrival time is when offer() accepted it — lane wait is
 /// part of its sojourn, and is also tracked separately in the report's
-/// ingest percentiles.
+/// ingest percentiles.  The ring grows a segment of staged jobs at a
+/// time, up to the most the lane has held at once, so a large capacity
+/// costs nothing until offers outrun the drain; an offer allocates
+/// only when it first reaches such a new high.
 class IngestLane {
  public:
   IngestLane(const IngestLane&) = delete;
   IngestLane& operator=(const IngestLane&) = delete;
 
-  /// Stage a job; its arrival is "now".  Wait-free.  Returns false when
-  /// the lane is full (backpressure) — the job is not accepted and
-  /// leaves no trace.  Malformed jobs (no TUF/body/estimate) fail the
-  /// invariant check here, on the producer.  Exactly one thread may
-  /// call offer() on a given lane.
+  /// Stage a job; its arrival is "now".  Wait-free, but for an offer
+  /// that reaches a new occupancy high and allocates a segment (see
+  /// above).  Returns false when the lane is full (backpressure) — the
+  /// job is not accepted and leaves no trace.  Malformed jobs (no
+  /// TUF/body/estimate) fail the invariant check here, on the producer.
+  /// Exactly one thread may call offer() on a given lane.
   ///
   /// Offers racing Executor::shutdown() may be silently dropped; a
   /// service must stop its producers before shutting the executor

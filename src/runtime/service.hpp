@@ -53,7 +53,10 @@ struct ServiceConfig {
                               .dispatch = {}};
 
   int lanes = 1;                    ///< one per producer thread
-  std::size_t lane_capacity = 4096; ///< offers park here until drained
+  /// Offers park in a lane until drained; a full lane backpressures.
+  /// A bound, not a reservation: a lane's memory follows the most
+  /// offers it has held at once.
+  std::size_t lane_capacity = 4096;
 
   /// Sliding-window utility budget (UAM admission): within any
   /// trailing `admission_window`, at most `window_utility_budget`

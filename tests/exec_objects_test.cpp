@@ -44,6 +44,7 @@ void check_attribution(const rt::ExecutorReport& rep, const TaskSet& ts) {
             static_cast<std::int32_t>(ts.tasks.size()));
   ASSERT_FALSE(rep.contention.empty());
   EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
+  EXPECT_LE(rep.mean_concurrency_observed, rep.cpu_count);
 
   std::int64_t job_retries = 0, job_blockings = 0;
   for (const Job& j : rep.jobs) {

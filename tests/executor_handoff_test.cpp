@@ -144,6 +144,7 @@ TEST(ExecutorHandoff, DescheduledSpinnerKeepsItsRightUntilItFinishes) {
   EXPECT_TRUE(urgent_ran.load());
   EXPECT_GE(rep.total_preemptions, 1) << "the urgent job displaced nobody";
   EXPECT_LE(rep.max_concurrency_observed, cfg.cpu_count);
+  EXPECT_LE(rep.mean_concurrency_observed, cfg.cpu_count);
   EXPECT_LE(inside.peak.load(), cfg.cpu_count);
 }
 
@@ -184,6 +185,7 @@ TEST(ExecutorHandoff, AbortWhileWaitingForARight) {
   EXPECT_EQ(urgent_body.load(), 0);
   EXPECT_EQ(urgent_handler.load(), 1);
   EXPECT_EQ(rep.max_concurrency_observed, 1);
+  EXPECT_LE(rep.mean_concurrency_observed, 1.0);
 }
 
 /// One CPU: a running job is displaced by one whose schedule it cannot
@@ -236,6 +238,7 @@ TEST(ExecutorHandoff, AbortWhileParked) {
   // its critical time too; that is not what this case is about.
   EXPECT_EQ(rep.completed + rep.aborted, 2);
   EXPECT_EQ(rep.max_concurrency_observed, 1);
+  EXPECT_LE(rep.mean_concurrency_observed, 1.0);
 }
 
 /// One CPU: jobs that cannot meet their critical time even alone are
@@ -284,6 +287,7 @@ TEST(ExecutorHandoff, AbortBeforeFirstDispatch) {
   EXPECT_EQ(doomed_bodies.load(), 0);
   EXPECT_EQ(doomed_handler.load(), 1);
   EXPECT_EQ(rep.max_concurrency_observed, 1);
+  EXPECT_LE(rep.mean_concurrency_observed, 1.0);
 }
 
 /// What one job's body and handler did.
@@ -355,6 +359,7 @@ void run_stress(int cpu_count) {
   EXPECT_GT(rep.aborted, 0) << "cpus " << cpu_count << ": no overload";
   EXPECT_GT(rep.total_preemptions, 0) << "cpus " << cpu_count;
   EXPECT_LE(rep.max_concurrency_observed, cpu_count);
+  EXPECT_LE(rep.mean_concurrency_observed, cpu_count);
   EXPECT_LE(inside.peak.load(), cpu_count);
   EXPECT_EQ(inside.now.load(), 0);
   ASSERT_EQ(static_cast<int>(rep.jobs.size()), n);

@@ -52,10 +52,43 @@ TEST(ExecutorMultiCpu, TwoJobsRendezvousWithTwoCpus) {
   EXPECT_EQ(rep.cpu_count, 2);
   EXPECT_GE(rep.max_concurrency_observed, 2);
   EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
+  EXPECT_LE(rep.mean_concurrency_observed, rep.cpu_count);
   ASSERT_EQ(rep.cpu_busy.size(), 2u);
   // Both slots were actually occupied at some point.
   EXPECT_GT(rep.cpu_busy[0], 0);
   EXPECT_GT(rep.cpu_busy[1], 0);
+}
+
+/// The slot-occupancy gauge: with more multi-ms jobs queued than CPU
+/// slots, some body holds each slot from the first dispatch to the
+/// last completion, but for the hand-over from one body to the next.
+/// So the time-weighted mean of bodies executing reads close to
+/// cpu_count — and never above it.
+TEST(ExecutorMultiCpu, SaturatedSlotsReadNearlyFullOccupancy) {
+  const sched::RuaScheduler rua(sched::Sharing::kLockFree);
+  rt::ExecutorConfig cfg;
+  cfg.cpu_count = 2;
+  constexpr int kJobs = 12;
+  rt::ExecutorReport rep;
+  {
+    rt::Executor ex(rua, cfg);
+    for (int i = 0; i < kJobs; ++i) {
+      rt::RtJob job;
+      job.tuf = make_step_tuf(10.0, sec(30));  // generous: no aborts
+      job.expected_exec = msec(5);
+      job.body = [](rt::JobContext& ctx) {
+        const auto end =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+        while (std::chrono::steady_clock::now() < end) ctx.checkpoint();
+      };
+      ex.submit(std::move(job));
+    }
+    rep = ex.shutdown();
+  }
+  EXPECT_EQ(rep.completed, kJobs);
+  EXPECT_GE(rep.mean_concurrency_observed, 1.5);
+  EXPECT_LE(rep.mean_concurrency_observed, rep.cpu_count);
+  EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
 }
 
 /// The serialized counterpart: with one CPU slot the parked job cannot
@@ -104,6 +137,7 @@ TEST(ExecutorMultiCpu, RendezvousImpossibleOnOneCpu) {
   // both increments: the bodies never overlapped.
   EXPECT_EQ(saw_both.load(), 1);
   EXPECT_EQ(rep.max_concurrency_observed, 1);
+  EXPECT_LE(rep.mean_concurrency_observed, 1.0);
   EXPECT_EQ(rep.total_preemptions, 0);
 }
 
@@ -156,6 +190,7 @@ TEST(ExecutorMultiCpu, AgreesWithSimulatorAcrossCpuCounts) {
         << "cpus " << cpus << ": different job populations";
     EXPECT_EQ(exec_rep.cpu_count, cpus);
     EXPECT_LE(exec_rep.max_concurrency_observed, cpus);
+    EXPECT_LE(exec_rep.mean_concurrency_observed, cpus);
     EXPECT_LE(std::abs(sim_rep.aur() - exec_rep.aur()), kTol)
         << "cpus " << cpus << ": AUR sim " << sim_rep.aur() << " vs exec "
         << exec_rep.aur();

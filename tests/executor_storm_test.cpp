@@ -40,6 +40,7 @@ void check_report_consistency(const rt::ExecutorReport& rep) {
   EXPECT_EQ(rep.completed + rep.aborted, rep.submitted);
   EXPECT_EQ(rep.counted_jobs, rep.submitted);
   EXPECT_LE(rep.max_concurrency_observed, rep.cpu_count);
+  EXPECT_LE(rep.mean_concurrency_observed, rep.cpu_count);
   EXPECT_EQ(static_cast<std::int64_t>(rep.jobs.size()), rep.submitted);
   std::int64_t retries = 0, blockings = 0, completed = 0, aborted = 0;
   double utility = 0.0;

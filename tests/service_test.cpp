@@ -51,6 +51,7 @@ TEST(Service, OfferedJobsAllAccountedAcrossLanes) {
   for (auto& t : producers) t.join();
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, accepted.load());
   EXPECT_EQ(rep.offered, 2 * kPerLane);
@@ -81,6 +82,7 @@ TEST(Service, AdmissionBudgetShedsBeyondDeclaredLoad) {
     if (svc.offer(0, quick_job(/*height=*/5.0))) ++accepted;
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, accepted);
   EXPECT_EQ(rep.exec.submitted, 2);  // floor(12 / 5)
@@ -107,6 +109,7 @@ TEST(Service, AdmissionBudgetDegradesWhenFallbackTufSet) {
     ASSERT_TRUE(svc.offer(0, quick_job(/*height=*/5.0)));
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_EQ(rep.offered, kOffers);
   EXPECT_EQ(rep.exec.submitted, kOffers);  // nobody shed
@@ -137,6 +140,7 @@ TEST(Service, FullLaneBackpressuresInsteadOfBlocking) {
   }
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
 
   EXPECT_GT(refused, 0);  // the tight loop outran a 1-slot lane
   EXPECT_EQ(rep.offered, accepted);
@@ -169,6 +173,7 @@ TEST(Service, DriveOpenLoopPacesArrivalsOnTheWheel) {
             35);  // ~last arrival (38ms), minus scheduler-clock slack
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
   EXPECT_EQ(rep.offered, accepted);
   EXPECT_EQ(rep.exec.submitted, accepted);
   EXPECT_EQ(rep.exec.completed + rep.exec.aborted, rep.exec.submitted);
@@ -239,6 +244,7 @@ TEST(Service, CloseIngestStopsOffersAndOpenLoopDrivers) {
 
   const ServiceReport rep = svc.shutdown();
   EXPECT_LE(rep.exec.max_concurrency_observed, rep.exec.cpu_count);
+  EXPECT_LE(rep.exec.mean_concurrency_observed, rep.exec.cpu_count);
   EXPECT_EQ(rep.offered, 1);
   EXPECT_EQ(rep.backpressured, 0);  // closed-door refusals are uncounted
   EXPECT_EQ(rep.exec.submitted + rep.exec.rejected, 1);
