@@ -10,8 +10,8 @@
 // thread in deterministic cell order.  Stdout is therefore byte-
 // identical for --threads=1 and --threads=N (see tests/
 // determinism_test.cpp); only wall-clock changes.  Call bench::init at
-// the top of main to honour --threads=N / LFRT_THREADS (default: all
-// hardware threads).
+// the top of main to honour --threads=N / LFRT_THREADS (default: every
+// CPU in the affinity mask).
 //
 // Default access-time parameters (overridable per bench via argv):
 //   s = 500 ns   (lock-free queue op, cf. measured values in fig08)
@@ -21,8 +21,6 @@
 //                 to its 30-1000 us job execution times)
 //   sched_ns_per_op = 5  (scheduler overhead charge per counted op)
 #pragma once
-
-#include <sched.h>
 
 #include <cmath>
 #include <cstdint>
@@ -36,9 +34,11 @@
 
 #include "exp/sweep.hpp"
 #include "exp/thread_pool.hpp"
+#include "runtime/calibrate.hpp"
 #include "sched/edf.hpp"
 #include "sched/rua.hpp"
 #include "sim/simulator.hpp"
+#include "support/cpus.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "workload/workload.hpp"
@@ -322,10 +322,7 @@ double measure_cml(MakeSpec&& make_spec, const RunParams& rp,
 /// CMake build type and the compiler (the same facts perfbench prints).
 /// Call it before the bench's own threads load the host.
 inline std::string host_json() {
-  cpu_set_t cpus;
-  const int nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
-                        ? CPU_COUNT(&cpus)
-                        : 0;
+  const int nproc = support::usable_cpus();
   double load1 = -1.0;
   if (getloadavg(&load1, 1) != 1) load1 = -1.0;
   load1 = std::round(load1 * 100.0) / 100.0;
@@ -340,6 +337,41 @@ inline std::string host_json() {
   os << "{\"nproc\": " << nproc << ", \"loadavg_1m\": " << load1
      << ", \"build_type\": \"" << LFRT_BUILD_TYPE
      << "\", \"compiler\": \"" << compiler << "\"}";
+  return os.str();
+}
+
+/// Print the cost model a bench priced with: every (kind, impl) cell
+/// this run measured, in ns (retry_penalty is always 0 and omitted).
+inline void print_cost_model(const runtime::AccessCalibration& cal) {
+  std::cout << "calibrated cost model (" << cal.samples
+            << " samples, measured in this run):\n";
+  Table t({"kind", "impl", "base_ns", "per_contender_ns", "per_segment_ns"});
+  for (const runtime::ObjectKind kind : runtime::all_object_kinds())
+    for (const runtime::ObjectImpl impl : runtime::all_object_impls()) {
+      const runtime::AccessCost& c = cal.model.at(kind, impl);
+      t.add_row({runtime::to_string(kind), runtime::to_string(impl),
+                 std::to_string(c.base), std::to_string(c.per_contender),
+                 std::to_string(c.per_segment)});
+    }
+  t.print();
+}
+
+/// The same cells as a JSON object for an artifact's "cost_model" key.
+inline std::string cost_model_json(const runtime::AccessCalibration& cal) {
+  std::ostringstream os;
+  os << "{\"samples\": " << cal.samples << ", \"cells\": [";
+  bool first = true;
+  for (const runtime::ObjectKind kind : runtime::all_object_kinds())
+    for (const runtime::ObjectImpl impl : runtime::all_object_impls()) {
+      const runtime::AccessCost& c = cal.model.at(kind, impl);
+      os << (first ? "" : ", ") << "{\"kind\": \"" << runtime::to_string(kind)
+         << "\", \"impl\": \"" << runtime::to_string(impl)
+         << "\", \"base_ns\": " << c.base
+         << ", \"per_contender_ns\": " << c.per_contender
+         << ", \"per_segment_ns\": " << c.per_segment << "}";
+      first = false;
+    }
+  os << "]}";
   return os.str();
 }
 

@@ -49,7 +49,7 @@
 //
 // Usage: ext_executor_validation [--tiny] [--cpus=N] [--threads=N]
 //                                [--objects=KIND] [--out FILE]
-//                                [--report-out FILE] [--recalibrate]
+//                                [--report-out FILE]
 //   --tiny        smoke mode for check.sh/CI: short horizons, loose
 //                 tolerance, fewer calibration samples
 //   --cpus=N      restrict the sweep to one cpu_count (smoke runs)
@@ -58,9 +58,6 @@
 //   --out         JSON row output (default BENCH_xval.json in the cwd)
 //   --report-out  full RunReport JSON of one executor run, heatmap
 //                 included (default BENCH_xval_report.json)
-//   --recalibrate ignore the persistent calibration cache
-//                 (runtime::calibrate keeps per-host measurements in
-//                 $LFRT_CALIBRATION_CACHE / ~/.cache) and re-measure
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -221,7 +218,6 @@ int main(int argc, char** argv) {
   using namespace lfrt;
   bench::init(argc, argv);
   bool tiny = false;
-  bool recalibrate = false;
   int only_cpus = 0;  // 0 = sweep {1, 2, 4}
   runtime::ObjectKind kind = runtime::ObjectKind::kQueue;
   std::string out_path = "BENCH_xval.json";
@@ -229,8 +225,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) {
       tiny = true;
-    } else if (std::strcmp(argv[i], "--recalibrate") == 0) {
-      recalibrate = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report-out") == 0 && i + 1 < argc) {
@@ -252,7 +246,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: ext_executor_validation [--tiny] [--cpus=N] "
                    "[--objects=KIND] [--threads=N] [--out FILE] "
-                   "[--report-out FILE] [--recalibrate]\n";
+                   "[--report-out FILE]\n";
       return 2;
     }
   }
@@ -280,15 +274,10 @@ int main(int argc, char** argv) {
   const std::uint64_t arrival_seed = 1000;
 
   // Calibrate the per-(kind, impl) cost model on this host: the
-  // simulator models what one access actually costs here.  Served from
-  // the persistent cache when available; --recalibrate forces a fresh
-  // measurement and overwrites the cached entry.
-  runtime::CalibrateOptions cal_opts;
-  cal_opts.force = recalibrate;
+  // simulator models what one access actually costs here.
   const runtime::AccessCalibration cal =
-      runtime::calibrate(tiny ? 200 : 500, cal_opts);
-  std::cout << "calibrated cost model (" << cal.samples << " samples"
-            << (cal.from_cache ? ", cached" : ", measured") << ")\n";
+      runtime::calibrate(tiny ? 200 : 500);
+  bench::print_cost_model(cal);
 
   std::vector<int> cpu_sweep = {1, 2, 4};
   if (only_cpus > 0) cpu_sweep = {only_cpus};
@@ -392,6 +381,7 @@ int main(int argc, char** argv) {
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"ext_executor_validation\",\n  \"objects\": \""
      << runtime::to_string(kind) << "\",\n  \"tolerance\": " << aur_tol
+     << ",\n  \"cost_model\": " << bench::cost_model_json(cal)
      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const XvalRow& r = rows[i];

@@ -149,13 +149,10 @@ int main(int argc, char** argv) {
   const std::uint64_t arrival_seed = 2000;
   const int cpus = 2;
 
-  // Calibrate the per-(kind, impl) cost model on this host — served
-  // from the persistent cache when a schema-current entry with a full
-  // cell table exists, measured (and cached) otherwise.
+  // Calibrate the per-(kind, impl) cost model on this host.
   const runtime::AccessCalibration cal =
       runtime::calibrate(tiny ? 200 : 500);
-  std::cout << "calibrated cost model (" << cal.samples << " samples"
-            << (cal.from_cache ? ", cached" : ", measured") << ")\n";
+  bench::print_cost_model(cal);
 
   bool ok = true;
   std::vector<ComboResult> combos;
@@ -246,7 +243,9 @@ int main(int argc, char** argv) {
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"heatmap_contention\",\n  \"objects\": "
      << ts.object_count << ",\n  \"tasks\": " << ts.tasks.size()
-     << ",\n  \"cpus\": " << cpus << ",\n  \"combos\": [\n";
+     << ",\n  \"cpus\": " << cpus
+     << ",\n  \"cost_model\": " << bench::cost_model_json(cal)
+     << ",\n  \"combos\": [\n";
   for (std::size_t i = 0; i < combos.size(); ++i) {
     const ComboResult& c = combos[i];
     os << "    {\"kind\": \"" << runtime::to_string(c.kind)

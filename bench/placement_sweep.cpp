@@ -38,9 +38,8 @@
 // also prints how many certificates per substrate checked an all-zero
 // heatmap (no retries, no blockings): those gate nothing.
 //
-// Usage: placement_sweep [--out FILE] [--recalibrate]
-//   --out         JSON output (default BENCH_placement.json in the cwd)
-//   --recalibrate ignore the persistent calibration cache
+// Usage: placement_sweep [--out FILE]
+//   --out  JSON output (default BENCH_placement.json in the cwd)
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -204,17 +203,14 @@ bool no_cell_looser(const analysis::mp::Certificate& part,
 int main(int argc, char** argv) {
   using namespace lfrt;
   bench::init(argc, argv);
-  bool recalibrate = false;
   std::string out_path = "BENCH_placement.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--recalibrate") == 0) {
-      recalibrate = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strncmp(argv[i], "--threads", 9) == 0) {
       if (std::strchr(argv[i], '=') == nullptr && i + 1 < argc) ++i;
     } else {
-      std::cerr << "usage: placement_sweep [--out FILE] [--recalibrate]\n";
+      std::cerr << "usage: placement_sweep [--out FILE]\n";
       return 2;
     }
   }
@@ -240,11 +236,8 @@ int main(int argc, char** argv) {
     max_window = std::max(max_window, t.arrival.window);
   const Time horizon = max_window * windows;
 
-  runtime::CalibrateOptions cal_opts;
-  cal_opts.force = recalibrate;
-  const runtime::AccessCalibration cal = runtime::calibrate(500, cal_opts);
-  std::cout << "calibrated cost model (" << cal.samples << " samples"
-            << (cal.from_cache ? ", cached" : ", measured") << ")\n";
+  const runtime::AccessCalibration cal = runtime::calibrate(500);
+  bench::print_cost_model(cal);
 
   std::vector<Row> rows;
   bool ok = true;
@@ -380,7 +373,9 @@ int main(int argc, char** argv) {
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"placement_sweep\",\n  \"host\": "
      << host << ",\n  \"objects\": \"queue\",\n"
-     << "  \"load\": " << base.load << ",\n  \"rows\": [\n";
+     << "  \"load\": " << base.load
+     << ",\n  \"cost_model\": " << bench::cost_model_json(cal)
+     << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     os << "    {\"cpus\": " << r.cpus << ", \"impl\": \"" << r.impl

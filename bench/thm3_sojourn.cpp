@@ -98,8 +98,9 @@ int main(int argc, char** argv) {
 
   // ---- part two: per-impl crossover with calibrated cost shapes ------
   const runtime::AccessCalibration cal = runtime::calibrate(300);
-  std::cout << "\nper-impl crossover — calibrated cost model ("
-            << (cal.from_cache ? "cached" : "measured") << "):\n";
+  std::cout << "\nper-impl crossover — ";
+  bench::print_cost_model(cal);
+  std::cout << "\n";
 
   // The calibrated cells sit at this host's nanosecond structure-op
   // scale — negligible next to 300 us jobs.  To relocate the crossover

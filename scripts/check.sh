@@ -46,9 +46,9 @@
 # cpu_count=1 and once at cpu_count=4 — so races between genuinely
 # overlapping workers cannot regress silently.  Each run's summary line
 # is pinned with its pair count (5 impls × 2 loads per cpu_count), so
-# a truncated grid fails.  Calibration-cache entries are keyed on the
-# build flavour, so the sanitized stages never price stage 3's
-# optimized simulator.
+# a truncated grid fails.  Every run measures its own cost cells
+# (runtime::calibrate keeps nothing between runs), so each stage's
+# simulator is priced by its own build.
 #
 # Usage: scripts/check.sh [jobs]      (default: nproc)
 set -euo pipefail

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "support/check.hpp"
+#include "support/cpus.hpp"
 
 namespace lfrt::exp {
 
@@ -24,8 +25,7 @@ int parse_threads(const char* s) {
 int default_threads() {
   if (const int n = parse_threads(std::getenv("LFRT_THREADS")); n > 0)
     return n;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return support::usable_cpus();
 }
 
 int threads_from_args(int argc, const char* const* argv) {

@@ -33,7 +33,7 @@
 namespace lfrt::exp {
 
 /// Thread count from the environment: LFRT_THREADS if set to a positive
-/// integer, else std::thread::hardware_concurrency (at least 1).
+/// integer, else the CPUs in this process's affinity mask (at least 1).
 int default_threads();
 
 /// Thread count from a bench command line: the last `--threads=N` or

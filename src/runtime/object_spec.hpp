@@ -223,26 +223,12 @@ inline std::string to_string(ObjectImpl impl) {
 }
 
 /// Parse "queue" | "stack" | "buffer" | "snapshot" (bench --objects=
-/// flags, spec JSON).  Returns false on anything else.
+/// flags).  Returns false on anything else.
 inline bool parse_object_kind(const std::string& s, ObjectKind* out) {
   if (s == "queue") *out = ObjectKind::kQueue;
   else if (s == "stack") *out = ObjectKind::kStack;
   else if (s == "buffer") *out = ObjectKind::kBuffer;
   else if (s == "snapshot") *out = ObjectKind::kSnapshot;
-  else return false;
-  return true;
-}
-
-/// Parse "lock-free" | "mutex" | "ticket" | "anderson" | "mcs", plus
-/// the legacy alias "lock-based" -> kMutex (pre-zoo configs and
-/// committed BENCH JSONs stay readable).  Returns false on anything
-/// else.
-inline bool parse_object_impl(const std::string& s, ObjectImpl* out) {
-  if (s == "lock-free") *out = ObjectImpl::kLockFree;
-  else if (s == "mutex" || s == "lock-based") *out = ObjectImpl::kMutex;
-  else if (s == "ticket") *out = ObjectImpl::kTicket;
-  else if (s == "anderson") *out = ObjectImpl::kAnderson;
-  else if (s == "mcs") *out = ObjectImpl::kMcs;
   else return false;
   return true;
 }

@@ -312,62 +312,4 @@ RunReport from_json(std::string_view json) {
   return rep;
 }
 
-std::string object_specs_to_json(const std::vector<ObjectSpec>& specs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ObjectSpec& s = specs[i];
-    if (i > 0) out += ',';
-    out += R"({"kind":")" + to_string(s.kind) + '"';
-    out += R"(,"impl":")" + to_string(s.impl) + '"';
-    out += R"(,"shards":)";
-    append_int(out, s.shards);
-    out += R"(,"adapt":)";
-    out += s.adapt ? "true" : "false";
-    out += '}';
-  }
-  out += ']';
-  return out;
-}
-
-std::vector<ObjectSpec> object_specs_from_json(std::string_view json) {
-  const JsonValue root = Parser(json).parse();
-  const JsonArray* arr = root.as_array();
-  if (arr == nullptr)
-    throw std::runtime_error("object_specs: expected a JSON array");
-  std::vector<ObjectSpec> specs;
-  specs.reserve(arr->size());
-  for (const JsonValue& v : *arr) {
-    const JsonObject* o = v.as_object();
-    if (o == nullptr)
-      throw std::runtime_error("object_specs: each element must be an object");
-    ObjectSpec s;
-    const JsonValue* kv = find(*o, "kind");
-    const std::string* ks = kv != nullptr ? kv->as_string() : nullptr;
-    if (ks == nullptr)
-      throw std::runtime_error("object_specs: missing \"kind\" string");
-    if (!parse_object_kind(*ks, &s.kind))
-      throw std::runtime_error(
-          "object_specs: unknown kind \"" + *ks +
-          "\" (accepted: queue, stack, buffer, snapshot)");
-    const JsonValue* iv = find(*o, "impl");
-    const std::string* is = iv != nullptr ? iv->as_string() : nullptr;
-    if (is == nullptr)
-      throw std::runtime_error("object_specs: missing \"impl\" string");
-    if (!parse_object_impl(*is, &s.impl))
-      throw std::runtime_error(
-          "object_specs: unknown impl \"" + *is +
-          "\" (accepted: lock-free, mutex, ticket, anderson, mcs, and the "
-          "legacy alias lock-based)");
-    s.shards = static_cast<std::int32_t>(get_int(*o, "shards", 1));
-    if (const JsonValue* av = find(*o, "adapt")) {
-      const bool* b = std::get_if<bool>(&av->v);
-      if (b == nullptr)
-        throw std::runtime_error("object_specs: \"adapt\" must be a bool");
-      s.adapt = *b;
-    }
-    specs.push_back(s);
-  }
-  return specs;
-}
-
 }  // namespace lfrt::runtime

@@ -32,9 +32,7 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "runtime/object_spec.hpp"
 #include "runtime/run_report.hpp"
 
 namespace lfrt::runtime {
@@ -48,21 +46,5 @@ std::string to_json(const RunReport& rep);
 /// std::runtime_error on malformed JSON or mismatched structure (e.g. a
 /// cells array whose length contradicts objects * tasks).
 RunReport from_json(std::string_view json);
-
-/// Serialize an object universe as a JSON array, one element per
-/// ObjectId:
-///
-///   [ {"kind":"queue","impl":"mutex","shards":1,"adapt":false}, ... ]
-///
-/// kind/impl use the to_string spellings ("lock-free" | "mutex" |
-/// "ticket" | "anderson" | "mcs"); shards and adapt are always written.
-std::string object_specs_to_json(const std::vector<ObjectSpec>& specs);
-
-/// Parse a universe serialized by object_specs_to_json.  `shards`
-/// (default 1) and `adapt` (default false) may be omitted.  The legacy
-/// impl spelling "lock-based" parses as "mutex", so pre-zoo artifacts
-/// stay readable; any other unknown kind/impl string throws
-/// std::runtime_error naming the offender and the accepted spellings.
-std::vector<ObjectSpec> object_specs_from_json(std::string_view json);
 
 }  // namespace lfrt::runtime

@@ -31,6 +31,10 @@
 // runnable schedule entry.  That is exactly select's first pick, because
 // neither conflict steering nor cluster rooms can act before a job holds
 // a slot; the decisions are one vacate/fill diff against the occupant.
+// It is kept beside select/assign for speed, not behaviour: perfbench's
+// sim-sweep runs one CPU, and with the rule off it kept both digests
+// but lost 13 % of jobs_per_s (6 alternating 10 s pairs, 4-vCPU host;
+// DESIGN.md §12).  svc-overload runs two CPUs on the general path.
 #pragma once
 
 #include <algorithm>

@@ -1,4 +1,4 @@
-// runtime::CostModel and its calibration cache.
+// runtime::CostModel and its host calibration.
 //
 // Three contracts:
 //
@@ -10,20 +10,23 @@
 //     the s and r scalars) bit-exactly, pinned by comparing serialized
 //     reports, across flat and nested accesses, one CPU and a
 //     partitioned pair with per-cluster objects,
-//   * cache schema — the persistent calibration cache is gated on
-//     kCalibrationCacheSchema: a malformed file, a pre-zoo flat-format
-//     file (no "schema" key), a schema-2 file with flat s/r next to
-//     its cells, or a current-schema entry without the full cell table
-//     all read as a miss, so calibrate() silently re-measures and
-//     overwrites in the current format.  An entry written by another
-//     build flavour (sanitized vs optimized) is a miss too.
+//   * calibration — calibrate() returns a measured cell for every
+//     (kind, impl) combo (base >= 1, per-contender >= 0, no retry
+//     penalty, a scan term on snapshot cells only), sizes its contended
+//     pass from the affinity mask (one usable CPU: every slope is 0),
+//     and measures on every call without reading or writing any file.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <sched.h>
+#include <unistd.h>
+
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "runtime/calibrate.hpp"
 #include "runtime/cost_model.hpp"
@@ -220,177 +223,87 @@ TEST(CostModelFlatIdentity, PartitionedScopedObjectsOnTwoCpusBitIdentical) {
   EXPECT_GT(rep.total_blockings, 0);
 }
 
-// ---- calibration cache schema --------------------------------------
+// ---- calibration -----------------------------------------------------
 
-constexpr const char* kCachePath = "cost_model_test_cache.json";
 constexpr std::int64_t kSamples = 64;
 
-void write_file(const std::string& content) {
-  std::ofstream f(kCachePath, std::ios::trunc);
-  f << content;
-}
-
-std::string read_file() {
-  std::ifstream in(kCachePath);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-runtime::AccessCalibration calibrate_here() {
-  runtime::CalibrateOptions opts;
-  opts.cache_path = kCachePath;
-  return runtime::calibrate(kSamples, opts);
-}
-
-TEST(CalibrationCache, MalformedFileRecalibratesAndRewrites) {
-  write_file("this is not json {{{");
-  const runtime::AccessCalibration cal = calibrate_here();
-  EXPECT_FALSE(cal.from_cache);
-  EXPECT_NE(cal.model, CostModel{});
+TEST(Calibrate, EveryCellHasTheDocumentedShape) {
+  const runtime::AccessCalibration cal = runtime::calibrate(kSamples);
   EXPECT_EQ(cal.samples, kSamples);
-
-  const std::string rewritten = read_file();
-  EXPECT_NE(rewritten.find("\"schema\":3"), std::string::npos);
-  EXPECT_NE(rewritten.find("\"cells\":"), std::string::npos);
-  std::remove(kCachePath);
+  for (const ObjectKind kind : runtime::all_object_kinds())
+    for (const ObjectImpl impl : runtime::all_object_impls()) {
+      SCOPED_TRACE(runtime::to_string(kind) + "/" + runtime::to_string(impl));
+      const AccessCost& c = cal.model.at(kind, impl);
+      EXPECT_GE(c.base, 1);
+      EXPECT_GE(c.per_contender, 0);
+      EXPECT_EQ(c.retry_penalty, 0);
+      if (kind == ObjectKind::kSnapshot)
+        EXPECT_GE(c.per_segment, 0);
+      else
+        EXPECT_EQ(c.per_segment, 0);
+    }
 }
 
-TEST(CalibrationCache, PreZooFlatSchemaReadsAsMiss) {
-  // The pre-zoo format: no "schema" key, flat scalars only.  Must be
-  // treated exactly like a missing cache, then overwritten in v3.
-  write_file(R"({"entries":[{"host":"anyhost","cpus":1,"samples":64,)"
-             R"("lockfree_ns":123,"lock_ns":456}]})");
-  const runtime::AccessCalibration cal = calibrate_here();
-  EXPECT_FALSE(cal.from_cache);
-  EXPECT_NE(cal.model, CostModel{});
+TEST(Calibrate, OneUsableCpuMeasuresNoContention) {
+  // Spinning contenders on one CPU measure the OS scheduler, not the
+  // lock: with a one-CPU affinity mask the contended pass must not run,
+  // whatever the host's CPU count.  The calibration threads inherit the
+  // calling thread's mask.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const runtime::AccessCalibration cal = runtime::calibrate(kSamples);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
 
-  // The rewrite is schema-current, so the very next calibrate hits.
-  const runtime::AccessCalibration cal2 = calibrate_here();
-  EXPECT_TRUE(cal2.from_cache);
-  EXPECT_EQ(cal2.model, cal.model);
-
-  // A schema-2 file: flat s/r and a full cell table, no build flavour.
-  // The version gate makes it a miss, and it is rewritten as v3
-  // without the scalars.
-  std::string v2 = read_file();
-  const std::string v3_tag = "\"schema\":3";
-  const std::size_t tag = v2.find(v3_tag);
-  ASSERT_NE(tag, std::string::npos);
-  v2.replace(tag, v3_tag.size(), "\"schema\":2");
-  const std::size_t flavour = v2.find(",\"flavour\":");
-  const std::size_t cells = v2.find(",\"cells\":[");
-  ASSERT_NE(flavour, std::string::npos);
-  ASSERT_NE(cells, std::string::npos);
-  v2.replace(flavour, cells - flavour,
-             ",\"lockfree_ns\":123,\"lock_ns\":456");
-  write_file(v2);
-  const runtime::AccessCalibration cal3 = calibrate_here();
-  EXPECT_FALSE(cal3.from_cache);
-  const std::string rewritten = read_file();
-  EXPECT_NE(rewritten.find(v3_tag), std::string::npos);
-  EXPECT_EQ(rewritten.find("lockfree_ns"), std::string::npos);
-  EXPECT_EQ(rewritten.find("lock_ns"), std::string::npos);
-  EXPECT_TRUE(calibrate_here().from_cache);
-  std::remove(kCachePath);
-}
-
-TEST(CalibrationCache, OtherBuildFlavourIsAMiss) {
-  // Sanitizer instrumentation changes every cell: an entry a sanitized
-  // build wrote must not price an optimized run (and back).  Relabel
-  // this build's entry as another flavour; the next calibration must
-  // re-measure and keep both entries side by side.
-  std::remove(kCachePath);
-  ASSERT_FALSE(calibrate_here().from_cache);
-  std::string content = read_file();
-  const std::string key = "\"flavour\":\"";
-  const std::size_t at = content.find(key);
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t value = at + key.size();
-  content.replace(value, content.find('"', value) - value, "other-build");
-  write_file(content);
-
-  EXPECT_FALSE(calibrate_here().from_cache);
-  const std::string rewritten = read_file();
-  EXPECT_NE(rewritten.find(key), rewritten.rfind(key));  // two entries
-  EXPECT_NE(rewritten.find("\"flavour\":\"other-build\""),
-            std::string::npos);
-  EXPECT_TRUE(calibrate_here().from_cache);
-  std::remove(kCachePath);
-}
-
-TEST(CalibrationCache, SchemaCurrentEntryWithoutCellsIsAMiss) {
-  // Seed a valid v3 cache, then strip the cell table: a hit requires
-  // the *full* per-(kind, impl) model.
-  const runtime::AccessCalibration seeded = calibrate_here();
-  ASSERT_FALSE(seeded.from_cache);
-
-  std::string content = read_file();
-  const std::size_t cells = content.find(",\"cells\":[");
-  ASSERT_NE(cells, std::string::npos);
-  const std::size_t end = content.find(']', cells);
-  ASSERT_NE(end, std::string::npos);
-  content.erase(cells, end - cells + 1);
-  write_file(content);
-
-  const runtime::AccessCalibration cal = calibrate_here();
-  EXPECT_FALSE(cal.from_cache);
-  EXPECT_NE(cal.model, CostModel{});
-  std::remove(kCachePath);
-}
-
-TEST(CalibrationCache, NoCacheLocationCalibratesUncachedWithoutFiles) {
-  // With both $LFRT_CALIBRATION_CACHE and $HOME unset there is nowhere
-  // sensible to persist measurements.  calibrate() must degrade to an
-  // uncached measurement — no throw, no ./.lfrt_calibration.json
-  // dropped into the working directory (the old fallback).
-  const char* old_cache = std::getenv("LFRT_CALIBRATION_CACHE");
-  const char* old_home = std::getenv("HOME");
-  const std::string saved_cache = old_cache ? old_cache : "";
-  const std::string saved_home = old_home ? old_home : "";
-  unsetenv("LFRT_CALIBRATION_CACHE");
-  unsetenv("HOME");
-  std::remove(".lfrt_calibration.json");
-
-  EXPECT_TRUE(runtime::calibration_cache_path().empty());
-  runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(kSamples));
-  EXPECT_FALSE(cal.from_cache);
-  EXPECT_NE(cal.model, CostModel{});
-
-  // Still uncached on the second call (nothing was persisted), and the
-  // cwd stays clean.
-  const runtime::AccessCalibration cal2 = runtime::calibrate(kSamples);
-  EXPECT_FALSE(cal2.from_cache);
-  EXPECT_FALSE(std::ifstream(".lfrt_calibration.json").good());
-
-  if (old_cache) setenv("LFRT_CALIBRATION_CACHE", saved_cache.c_str(), 1);
-  if (old_home) setenv("HOME", saved_home.c_str(), 1);
-}
-
-TEST(CalibrationCache, UnwritableCachePathStillCalibrates) {
-  // A cache directory that cannot be created/written must not fail the
-  // calibration — measure, warn once, move on.
-  runtime::CalibrateOptions opts;
-  opts.cache_path = "/proc/definitely/not/writable/cache.json";
-  runtime::AccessCalibration cal;
-  EXPECT_NO_THROW(cal = runtime::calibrate(kSamples, opts));
-  EXPECT_FALSE(cal.from_cache);
-  EXPECT_NE(cal.model, CostModel{});
-}
-
-TEST(CalibrationCache, SecondCalibrationHits) {
-  std::remove(kCachePath);
-  const runtime::AccessCalibration measured = calibrate_here();
-  EXPECT_FALSE(measured.from_cache);
-
-  const runtime::AccessCalibration cached = calibrate_here();
-  EXPECT_TRUE(cached.from_cache);
-  EXPECT_EQ(cached.model, measured.model);
   for (const ObjectKind kind : runtime::all_object_kinds())
     for (const ObjectImpl impl : runtime::all_object_impls())
-      EXPECT_GE(cached.model.at(kind, impl).base, 1);
-  std::remove(kCachePath);
+      EXPECT_EQ(cal.model.at(kind, impl).per_contender, 0)
+          << runtime::to_string(kind) << "/" << runtime::to_string(impl);
+}
+
+TEST(Calibrate, WritesNoFiles) {
+  // Calibration keeps nothing between runs.  Point HOME, and every
+  // lfrt variable the caller's environment sets, into an empty scratch
+  // directory: after calibrating it must still be empty.
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "lfrt_calXXXXXX").string();
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const std::filesystem::path dir = dir_template;
+
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved;
+  const auto redirect = [&](const std::string& name, const std::string& to) {
+    const char* old = std::getenv(name.c_str());
+    saved.emplace_back(name, old != nullptr ? std::optional<std::string>(old)
+                                            : std::nullopt);
+    setenv(name.c_str(), to.c_str(), 1);
+  };
+  redirect("HOME", dir.string());
+  std::vector<std::string> lfrt_vars;
+  for (char** e = environ; *e != nullptr; ++e)
+    if (std::strncmp(*e, "LFRT_", 5) == 0)
+      lfrt_vars.emplace_back(*e, std::strchr(*e, '=') - *e);
+  for (const std::string& name : lfrt_vars)
+    redirect(name, (dir / (name + ".json")).string());
+
+  runtime::AccessCalibration cal;
+  EXPECT_NO_THROW(cal = runtime::calibrate(kSamples));
+  EXPECT_NE(cal.model, CostModel{});
+
+  for (const auto& [name, value] : saved) {
+    if (value)
+      setenv(name.c_str(), value->c_str(), 1);
+    else
+      unsetenv(name.c_str());
+  }
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir))
+    ADD_FAILURE() << "calibrate() wrote " << entry.path();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include "exp/sweep.hpp"
 #include "exp/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -102,9 +104,30 @@ TEST(ExpThreads, EnvFallback) {
   EXPECT_GE(default_threads(), 1);
 }
 
+TEST(ExpThreads, DefaultFollowsTheAffinityMask) {
+  // Without LFRT_THREADS the pool is sized to the CPUs this process may
+  // run on, not to the host's CPU count.
+  const char* env = std::getenv("LFRT_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  ::unsetenv("LFRT_THREADS");
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(default_threads(), CPU_COUNT(&mask));
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = default_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(pinned, 1);
+  if (env != nullptr) ::setenv("LFRT_THREADS", saved.c_str(), 1);
+}
+
 TEST(ExpThreads, RejectsNonsenseValues) {
   ::setenv("LFRT_THREADS", "0", 1);
-  EXPECT_GE(default_threads(), 1);  // falls back to hardware default
+  EXPECT_GE(default_threads(), 1);  // falls back to the affinity mask
   ::setenv("LFRT_THREADS", "banana", 1);
   EXPECT_GE(default_threads(), 1);
   ::unsetenv("LFRT_THREADS");

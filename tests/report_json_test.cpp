@@ -282,71 +282,5 @@ TEST(ReportJson, InconsistentContentionThrows) {
       std::runtime_error);
 }
 
-// ---- object-spec universe serialization ----------------------------
-
-TEST(ObjectSpecJson, RoundTripsEveryCombo) {
-  std::vector<ObjectSpec> specs;
-  for (const ObjectKind kind : all_object_kinds())
-    for (const ObjectImpl impl : all_object_impls())
-      specs.push_back(ObjectSpec{kind, impl});
-  specs[3].shards = 4;
-  specs[5].adapt = true;
-
-  const std::vector<ObjectSpec> back =
-      object_specs_from_json(object_specs_to_json(specs));
-  ASSERT_EQ(back.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(back[i], specs[i]);
-}
-
-TEST(ObjectSpecJson, EmptyUniverseRoundTrips) {
-  EXPECT_TRUE(object_specs_from_json(object_specs_to_json({})).empty());
-}
-
-/// The pre-zoo impl spelling "lock-based" is a live alias: it parses to
-/// kMutex, so committed BENCH JSONs and old configs stay readable — and
-/// re-serializing writes the canonical "mutex" spelling.
-TEST(ObjectSpecJson, LockBasedAliasParsesAsMutex) {
-  const std::vector<ObjectSpec> specs = object_specs_from_json(
-      R"([{"kind":"queue","impl":"lock-based"}])");
-  ASSERT_EQ(specs.size(), 1u);
-  EXPECT_EQ(specs[0].impl, ObjectImpl::kMutex);
-  EXPECT_NE(object_specs_to_json(specs).find("\"impl\":\"mutex\""),
-            std::string::npos);
-}
-
-/// Defaults: shards and adapt may be omitted (1 / false).
-TEST(ObjectSpecJson, OmittedShardsAndAdaptDefault) {
-  const std::vector<ObjectSpec> specs = object_specs_from_json(
-      R"([{"kind":"stack","impl":"mcs"}])");
-  ASSERT_EQ(specs.size(), 1u);
-  EXPECT_EQ(specs[0].kind, ObjectKind::kStack);
-  EXPECT_EQ(specs[0].impl, ObjectImpl::kMcs);
-  EXPECT_EQ(specs[0].shards, 1);
-  EXPECT_FALSE(specs[0].adapt);
-}
-
-/// An unknown impl (or kind) throws, naming the offending string — a
-/// typo'd universe must not silently become some default mechanism.
-TEST(ObjectSpecJson, UnknownImplOrKindThrows) {
-  try {
-    object_specs_from_json(R"([{"kind":"queue","impl":"spinlock"}])");
-    FAIL() << "unknown impl accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("spinlock"), std::string::npos)
-        << "error message must name the offending impl";
-  }
-  EXPECT_THROW(
-      object_specs_from_json(R"([{"kind":"heap","impl":"mutex"}])"),
-      std::runtime_error);
-  // Missing kind/impl entirely is as malformed as a wrong spelling.
-  EXPECT_THROW(object_specs_from_json(R"([{"impl":"mutex"}])"),
-               std::runtime_error);
-  EXPECT_THROW(object_specs_from_json(R"([{"kind":"queue"}])"),
-               std::runtime_error);
-  // Structural junk.
-  EXPECT_THROW(object_specs_from_json("{}"), std::runtime_error);
-  EXPECT_THROW(object_specs_from_json("[3]"), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace lfrt::runtime
